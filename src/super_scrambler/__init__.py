@@ -9,7 +9,6 @@ from .model import (
     SuperPauli,
     Swap,
     T,
-    XYStringIndex,
     localize_c3,
     parse_program,
     format_program,
@@ -33,7 +32,7 @@ from .experiments import (
     random_step,
     run_random_ensemble,
 )
-from .gf2 import gf2_rank, pack_bit_matrix, rank_of_bit_matrix
+from .gf2 import gf2_rank
 
 __all__ = [
     "C3",
@@ -51,18 +50,15 @@ __all__ = [
     "Swap",
     "T",
     "TableauError",
-    "XYStringIndex",
     "build_ghz_program",
     "estimate_saturation_time",
     "fit_growth_rate",
     "format_program",
     "gf2_rank",
     "localize_c3",
-    "pack_bit_matrix",
     "page_value",
     "parse_program",
     "random_step",
-    "rank_of_bit_matrix",
     "reverse_from_state_space",
     "run_random_ensemble",
     "verify_gate_tables",

@@ -231,10 +231,7 @@ def write_csv(series: EntropySeries, path: str) -> None:
 
 def summarize(config: ExperimentConfig, series: EntropySeries) -> dict:
     summary: dict = {"config": config.to_dict()}
-    try:
-        summary["plateau"] = plateau_estimate(series)
-    except ExperimentError:
-        summary["plateau"] = None
+    summary["plateau"] = plateau_estimate(series)
     for key, fn in (
         ("growth_rate", fit_growth_rate),
         ("saturation_step", estimate_saturation_time),

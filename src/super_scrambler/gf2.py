@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
-import numpy as np
+from typing import Iterable
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -25,22 +23,3 @@ def gf2_rank(rows: Iterable[int]) -> int:
                 break
             row ^= p
     return rank
-
-
-def pack_bit_matrix(matrix: np.ndarray) -> List[int]:
-    """Pack a 2D 0/1 array into one int per row, column j at bit j."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2D bit matrix")
-    rows = []
-    for r in matrix:
-        row = 0
-        for j, v in enumerate(r):
-            if v & 1:
-                row |= 1 << j
-        rows.append(row)
-    return rows
-
-
-def rank_of_bit_matrix(matrix: np.ndarray) -> int:
-    return gf2_rank(pack_bit_matrix(matrix))

@@ -1,4 +1,4 @@
-"""Core data model: X/Y-string operator basis, super-gates, and programs.
+"""Core data model: X/Y-string super-Paulis, super-gates, and programs.
 
 Site indices are 1-based everywhere in the public API (and in the program
 text format); bit positions inside masks are 0-based, with site i stored at
@@ -8,7 +8,7 @@ bit i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 
 class ProgramError(ValueError):
@@ -16,34 +16,11 @@ class ProgramError(ValueError):
 
 
 @dataclass(frozen=True)
-class XYStringIndex:
-    """Basis label for the operator space spanned by X/Y strings.
-
-    Bit i-1 of ``y_mask`` set means Pauli Y at site i, clear means X.
-    Identity and Z factors are not representable.
-    """
-
-    n_qubits: int
-    y_mask: int
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        if not 0 <= self.y_mask < (1 << self.n_qubits):
-            raise ValueError("y_mask out of range for n_qubits")
-
-    def label(self) -> str:
-        return "".join(
-            "Y" if (self.y_mask >> i) & 1 else "X" for i in range(self.n_qubits)
-        )
-
-
-@dataclass(frozen=True)
 class SuperPauli:
     """A super-Pauli operator on the X/Y string space, sign untracked.
 
     ``x_mask`` bit i-1 is the X-type exponent at site i, ``z_mask`` the
-    Z-type exponent.  Serialization order interleaves (x, z) per site.
+    Z-type exponent.
     """
 
     n_qubits: int
@@ -56,14 +33,6 @@ class SuperPauli:
         top = 1 << self.n_qubits
         if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
             raise ValueError("mask out of range for n_qubits")
-
-    def interleaved_vector(self) -> Tuple[int, ...]:
-        """Binary vector (v_1x, v_1z, ..., v_Nx, v_Nz)."""
-        out = []
-        for i in range(self.n_qubits):
-            out.append((self.x_mask >> i) & 1)
-            out.append((self.z_mask >> i) & 1)
-        return tuple(out)
 
     def commutes_with(self, other: "SuperPauli") -> bool:
         if self.n_qubits != other.n_qubits:
@@ -112,10 +81,6 @@ class C3:
     control: int
     target_1: int
     target_2: int
-
-    def canonical(self) -> "C3":
-        a, b = sorted((self.target_1, self.target_2))
-        return C3(self.control, a, b)
 
 
 SuperGate = Union[T, Swap, C3]

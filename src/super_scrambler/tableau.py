@@ -1,22 +1,20 @@
 """Super-stabilizer tableau: polynomial-cost simulation of X/Y-string scrambling.
 
 The state is N mutually commuting, independent super-Paulis (the columns of
-the 2N x N binary matrix of stabilizer vectors).  X and Z exponent planes
-are stored separately, bit-packed 64 bits per word, one row per stabilizer.
-Signs are not tracked; they do not affect entanglement.
+the 2N x N binary matrix of stabilizer vectors).  It is stored column-major,
+one N-bit int per site for the x plane and one for the z plane: bit i of
+``x[j]`` is the X-type exponent of stabilizer i at site j+1.  Every
+super-gate is then a few swaps and XORs of whole columns.  Signs are not
+tracked; they do not affect entanglement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set
-
-import numpy as np
+from typing import Iterable, List, Sequence
 
 from .gf2 import gf2_rank
-from .model import C3, OperatorProgram, SuperGate, SuperPauli, Swap, T, validate_gate
-
-_ONE = np.uint64(1)
+from .model import C3, OperatorProgram, SuperGate, SuperPauli, Swap, T
 
 
 class TableauError(ValueError):
@@ -50,52 +48,55 @@ class Region:
         return len(self.sites)
 
 
-def _words(n_qubits: int) -> int:
-    return (n_qubits + 63) // 64
+def _transpose(rows: Sequence[int], n: int) -> List[int]:
+    """Transpose an n x n bit matrix: bit j of rows[i] becomes bit i of out[j]."""
+    # row n-1 first, each row most significant bit first: every n-th char
+    # from offset n-1-j is then column j, most significant bit first
+    bits = "".join([format(r, f"0{n}b") for r in reversed(rows)])
+    return [int(bits[k::n], 2) for k in range(n - 1, -1, -1)]
 
 
 class SuperStabilizerTableau:
     """N super-stabilizers evolving under the {T, SWAP, C3} super-gate set."""
 
-    def __init__(self, n_qubits: int, x_words: np.ndarray, z_words: np.ndarray):
+    def __init__(self, n_qubits: int, x: Sequence[int], z: Sequence[int]):
+        """`x[j]`, `z[j]`: the exponents at site j+1, bit i for stabilizer i."""
         if n_qubits < 1:
             raise TableauError("n_qubits must be positive")
-        w = _words(n_qubits)
-        if x_words.shape != (n_qubits, w) or z_words.shape != (n_qubits, w):
-            raise TableauError("word array shape mismatch")
+        if len(x) != n_qubits or len(z) != n_qubits:
+            raise TableauError("expected one x and one z column per site")
+        top = 1 << n_qubits
+        if not all(0 <= c < top for c in (*x, *z)):
+            raise TableauError(f"column out of range for {n_qubits} stabilizers")
         self.n_qubits = n_qubits
-        self._x = np.ascontiguousarray(x_words, dtype=np.uint64)
-        self._z = np.ascontiguousarray(z_words, dtype=np.uint64)
+        self.x = list(x)
+        self.z = list(z)
 
     @classmethod
     def new_all_x(cls, n_qubits: int) -> "SuperStabilizerTableau":
         """Tableau for the unentangled all-X string: stabilizer alpha is Z_alpha."""
-        if n_qubits < 1:
-            raise TableauError("n_qubits must be positive")
-        w = _words(n_qubits)
-        x = np.zeros((n_qubits, w), dtype=np.uint64)
-        z = np.zeros((n_qubits, w), dtype=np.uint64)
-        for i in range(n_qubits):
-            z[i, i >> 6] = _ONE << np.uint64(i & 63)
-        return cls(n_qubits, x, z)
+        return cls(n_qubits, [0] * n_qubits, [1 << j for j in range(n_qubits)])
 
     def copy(self) -> "SuperStabilizerTableau":
-        return SuperStabilizerTableau(self.n_qubits, self._x.copy(), self._z.copy())
+        return SuperStabilizerTableau(self.n_qubits, self.x, self.z)
 
-    # -- mask access -------------------------------------------------------
-
-    def _row_int(self, plane: np.ndarray, i: int) -> int:
-        return int.from_bytes(plane[i].tobytes(), "little")
+    # -- stabilizer access -------------------------------------------------
 
     def stabilizer(self, i: int) -> SuperPauli:
         """The i-th stabilizer (0-based) as a SuperPauli."""
-        return SuperPauli(
-            self.n_qubits, self._row_int(self._x, i), self._row_int(self._z, i)
-        )
+        if not 0 <= i < self.n_qubits:
+            raise IndexError(f"stabilizer {i} out of range 0..{self.n_qubits - 1}")
+        x_mask = z_mask = 0
+        for j in range(self.n_qubits):
+            x_mask |= ((self.x[j] >> i) & 1) << j
+            z_mask |= ((self.z[j] >> i) & 1) << j
+        return SuperPauli(self.n_qubits, x_mask, z_mask)
 
     @property
     def stabilizers(self) -> List[SuperPauli]:
-        return [self.stabilizer(i) for i in range(self.n_qubits)]
+        n = self.n_qubits
+        xs, zs = _transpose(self.x, n), _transpose(self.z, n)
+        return [SuperPauli(n, xm, zm) for xm, zm in zip(xs, zs)]
 
     # -- gate updates ------------------------------------------------------
 
@@ -106,12 +107,8 @@ class SuperStabilizerTableau:
     def apply_t(self, site: int) -> None:
         """Exchange the x and z exponents at `site` in every stabilizer."""
         self._check_site(site)
-        i = site - 1
-        w, b = i >> 6, np.uint64(i & 63)
-        bit = _ONE << b
-        diff = (self._x[:, w] ^ self._z[:, w]) & bit
-        self._x[:, w] ^= diff
-        self._z[:, w] ^= diff
+        j = site - 1
+        self.x[j], self.z[j] = self.z[j], self.x[j]
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
         """Exchange the (x, z) exponent pairs of two sites."""
@@ -119,15 +116,10 @@ class SuperStabilizerTableau:
         self._check_site(site_b)
         if site_a == site_b:
             raise TableauError("swap sites must be distinct")
-        ia, ib = site_a - 1, site_b - 1
-        wa, ba = ia >> 6, np.uint64(ia & 63)
-        wb, bb = ib >> 6, np.uint64(ib & 63)
-        for plane in (self._x, self._z):
-            abit = (plane[:, wa] >> ba) & _ONE
-            bbit = (plane[:, wb] >> bb) & _ONE
-            d = abit ^ bbit
-            plane[:, wa] ^= d << ba
-            plane[:, wb] ^= d << bb
+        a, b = site_a - 1, site_b - 1
+        x, z = self.x, self.z
+        x[a], x[b] = x[b], x[a]
+        z[a], z[b] = z[b], z[a]
 
     def apply_c3(self, control: int, target_1: int, target_2: int) -> None:
         """Controlled-Y-pair update of every stabilizer vector, mod 2."""
@@ -136,22 +128,14 @@ class SuperStabilizerTableau:
             self._check_site(s)
         if len(set(sites)) != 3:
             raise TableauError("C3 sites must be distinct")
-        ic, i1, i2 = control - 1, target_1 - 1, target_2 - 1
-        wc, bc = ic >> 6, np.uint64(ic & 63)
-        w1, b1 = i1 >> 6, np.uint64(i1 & 63)
-        w2, b2 = i2 >> 6, np.uint64(i2 & 63)
-        vcx = (self._x[:, wc] >> bc) & _ONE
-        s = (
-            ((self._x[:, w1] >> b1) & _ONE)
-            ^ ((self._z[:, w1] >> b1) & _ONE)
-            ^ ((self._x[:, w2] >> b2) & _ONE)
-            ^ ((self._z[:, w2] >> b2) & _ONE)
-        )
-        self._z[:, wc] ^= s << bc
-        self._x[:, w1] ^= vcx << b1
-        self._z[:, w1] ^= vcx << b1
-        self._x[:, w2] ^= vcx << b2
-        self._z[:, w2] ^= vcx << b2
+        c, t1, t2 = control - 1, target_1 - 1, target_2 - 1
+        x, z = self.x, self.z
+        v = x[c]
+        z[c] ^= x[t1] ^ z[t1] ^ x[t2] ^ z[t2]
+        x[t1] ^= v
+        z[t1] ^= v
+        x[t2] ^= v
+        z[t2] ^= v
 
     def apply_gate(self, gate: SuperGate) -> None:
         if isinstance(gate, T):
@@ -167,8 +151,11 @@ class SuperStabilizerTableau:
         """Apply gates in program order (index 0 first).
 
         check="gate" validates the tableau invariants after every gate,
-        check="none" skips validation (the release-mode default).
+        check="none" skips validation (the release-mode default); any other
+        value is an error.
         """
+        if check not in ("none", "gate"):
+            raise TableauError(f"check must be 'none' or 'gate', got {check!r}")
         if program.n_qubits != self.n_qubits:
             raise TableauError("program/tableau dimension mismatch")
         for gate in program.gates:
@@ -178,50 +165,24 @@ class SuperStabilizerTableau:
 
     # -- entropy -----------------------------------------------------------
 
-    def _region_rows(self, sites: Sequence[int]) -> List[int]:
-        """Stabilizer rows restricted to the 2|A| exponent bits of `sites`."""
-        k = len(sites)
-        rows = []
-        for i in range(self.n_qubits):
-            x = self._row_int(self._x, i)
-            z = self._row_int(self._z, i)
-            row = 0
-            for j, site in enumerate(sites):
-                row |= ((x >> (site - 1)) & 1) << j
-                row |= ((z >> (site - 1)) & 1) << (k + j)
-            rows.append(row)
-        return rows
-
-    def _prefix_rows(self, p: int) -> List[int]:
-        mask = (1 << p) - 1
-        rows = []
-        for i in range(self.n_qubits):
-            x = self._row_int(self._x, i) & mask
-            z = self._row_int(self._z, i) & mask
-            rows.append(x | (z << p))
-        return rows
-
     def entropy(self, region: Region) -> int:
         """Operator entanglement across `region`: GF(2) rank of the
-        region-restricted stabilizer matrix minus the region size."""
+        region-restricted stabilizer matrix minus the region size.
+
+        The restricted matrix's rank is taken over its 2|A| site columns;
+        a matrix and its transpose have the same rank.
+        """
         region.validate(self.n_qubits)
-        p = len(region)
-        if p == 0 or p == self.n_qubits:
-            return 0
-        sites = sorted(region.sites)
-        if sites == list(range(1, p + 1)):
-            rows = self._prefix_rows(p)
-        else:
-            rows = self._region_rows(sites)
-        return gf2_rank(rows) - p
+        cols = [self.x[s - 1] for s in region.sites]
+        cols += [self.z[s - 1] for s in region.sites]
+        return gf2_rank(cols) - len(region)
 
     # -- invariants --------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Assert mutual commutation and GF(2) independence of the stabilizers."""
         n = self.n_qubits
-        xs = [self._row_int(self._x, i) for i in range(n)]
-        zs = [self._row_int(self._z, i) for i in range(n)]
+        xs, zs = _transpose(self.x, n), _transpose(self.z, n)
         for a in range(n):
             for b in range(a + 1, n):
                 sym = (xs[a] & zs[b]).bit_count() + (zs[a] & xs[b]).bit_count()
@@ -229,15 +190,14 @@ class SuperStabilizerTableau:
                     raise TableauError(
                         f"stabilizers {a} and {b} anticommute"
                     )
-        full = [xs[i] | (zs[i] << n) for i in range(n)]
-        if gf2_rank(full) != n:
+        if gf2_rank([xs[i] | (zs[i] << n) for i in range(n)]) != n:
             raise TableauError("stabilizers are GF(2)-dependent")
 
     # -- serialization -----------------------------------------------------
 
     def dumps(self) -> str:
         """One stabilizer per line over {I, X, Z, Y}, final newline included."""
-        return "\n".join(self.stabilizer(i).label() for i in range(self.n_qubits)) + "\n"
+        return "\n".join(sp.label() for sp in self.stabilizers) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> "SuperStabilizerTableau":
@@ -249,9 +209,7 @@ class SuperStabilizerTableau:
             raise TableauError("empty stabilizer line")
         if len(lines) != n:
             raise TableauError(f"expected {n} lines of length {n}, got {len(lines)}")
-        w = _words(n)
-        x = np.zeros((n, w), dtype=np.uint64)
-        z = np.zeros((n, w), dtype=np.uint64)
+        xs, zs = [], []
         for i, line in enumerate(lines):
             if len(line) != n:
                 raise TableauError(f"line {i + 1}: length {len(line)}, expected {n}")
@@ -259,12 +217,8 @@ class SuperStabilizerTableau:
                 sp = SuperPauli.from_label(line)
             except ValueError as e:
                 raise TableauError(f"line {i + 1}: {e}")
-            x[i] = np.frombuffer(
-                sp.x_mask.to_bytes(w * 8, "little"), dtype=np.uint64
-            )
-            z[i] = np.frombuffer(
-                sp.z_mask.to_bytes(w * 8, "little"), dtype=np.uint64
-            )
-        tab = cls(n, x, z)
+            xs.append(sp.x_mask)
+            zs.append(sp.z_mask)
+        tab = cls(n, _transpose(xs, n), _transpose(zs, n))
         tab.check_invariants()
         return tab

@@ -1,6 +1,25 @@
 import numpy as np
 
-from super_scrambler.gf2 import gf2_rank, pack_bit_matrix, rank_of_bit_matrix
+from super_scrambler.gf2 import gf2_rank
+
+
+def pack_bit_matrix(matrix):
+    """Pack a 2D 0/1 array into one int per row, column j at bit j."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValueError("expected a 2D bit matrix")
+    rows = []
+    for r in matrix:
+        row = 0
+        for j, v in enumerate(r):
+            if v & 1:
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
+def rank_of_bit_matrix(matrix):
+    return gf2_rank(pack_bit_matrix(matrix))
 
 
 def naive_rank(matrix):

@@ -106,17 +106,17 @@ class TestLocalizeC3:
                 # single-SuperPauli inputs: each basis unit vector in turn
                 for plane in ("x", "z"):
                     for i in range(n):
-                        direct = SuperStabilizerTableau.new_all_x(n)
-                        direct._x[:] = 0
-                        direct._z[:] = 0
-                        target = direct._x if plane == "x" else direct._z
-                        target[:, i >> 6] = np.uint64(1) << np.uint64(i & 63)
+                        # every stabilizer carries the unit vector at site i+1
+                        unit = [0] * n
+                        unit[i] = (1 << n) - 1
+                        zero = [0] * n
+                        x, z = (unit, zero) if plane == "x" else (zero, unit)
+                        direct = SuperStabilizerTableau(n, x, z)
                         routed = direct.copy()
                         direct.apply_c3(c, t1, t2)
                         for g in seq:
                             routed.apply_gate(g)
-                        assert np.array_equal(direct._x, routed._x)
-                        assert np.array_equal(direct._z, routed._z)
+                        assert direct.dumps() == routed.dumps()
 
     def test_ghz_style_gate_count_quadratic(self):
         for k in (1, 2, 5, 10, 20):

@@ -217,6 +217,14 @@ class TestCheckStabilized:
                 assert tab.entropy(Region.prefix(p)) == pytest.approx(
                     psi.entropy(range(1, p + 1)), abs=1e-6
                 )
+            # every nonempty proper subset that is not a prefix
+            for mask in range(1, (1 << n) - 1):
+                sites = [j + 1 for j in range(n) if (mask >> j) & 1]
+                if sites == list(range(1, len(sites) + 1)):
+                    continue
+                assert tab.entropy(Region(sites)) == pytest.approx(
+                    psi.entropy(sites), abs=1e-6
+                ), sites
 
 
 class TestVerifyGateTables:

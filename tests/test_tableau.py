@@ -45,6 +45,18 @@ class TestNewAllX:
         with pytest.raises(TableauError):
             SuperStabilizerTableau.new_all_x(0)
 
+    def test_constructor_rejects_bad_columns(self):
+        with pytest.raises(TableauError, match="column per site"):
+            SuperStabilizerTableau(3, [0, 0], [1, 2, 4])
+        with pytest.raises(TableauError, match="out of range"):
+            SuperStabilizerTableau(3, [0, 0, 8], [1, 2, 4])
+
+    def test_stabilizer_index_out_of_range(self):
+        tab = SuperStabilizerTableau.new_all_x(3)
+        for i in (-1, 3):
+            with pytest.raises(IndexError):
+                tab.stabilizer(i)
+
 
 class TestApplyT:
     def test_z_to_x(self):
@@ -114,14 +126,17 @@ class TestApplyC3:
         # all 64 (x, z) bit patterns over 3 sites, applied twice
         for pattern in range(64):
             x, z = pattern & 0b111, pattern >> 3
+            # stabilizer 0 carries the pattern: bit 0 of each site's column
             tab = SuperStabilizerTableau(
                 3,
-                np.array([[x], [0], [0]], dtype=np.uint64),
-                np.array([[z], [0], [0]], dtype=np.uint64),
+                [(x >> j) & 1 for j in range(3)],
+                [(z >> j) & 1 for j in range(3)],
             )
+            before = tab.dumps()
             tab.apply_c3(1, 2, 3)
             tab.apply_c3(1, 2, 3)
             assert tab.stabilizer(0) == SuperPauli(3, x, z)
+            assert tab.dumps() == before
 
     def test_index_agnostic_roles(self):
         tab = tableau_from_labels(["IIZ", "ZII", "IZI"])
@@ -165,6 +180,13 @@ class TestApplyProgram:
         tab = SuperStabilizerTableau.new_all_x(3)
         with pytest.raises(TableauError):
             tab.apply_program(OperatorProgram(4, ()))
+
+    def test_unknown_check_mode_rejected(self):
+        tab = SuperStabilizerTableau.new_all_x(3)
+        for mode in ("gates", "Gate", "", None):
+            with pytest.raises(TableauError, match="check"):
+                tab.apply_program(OperatorProgram(3, (T(1),)), check=mode)
+        assert tab.dumps() == SuperStabilizerTableau.new_all_x(3).dumps()
 
     def test_per_gate_invariant_checking(self):
         tab = SuperStabilizerTableau.new_all_x(5)
@@ -234,12 +256,8 @@ class TestInvariants:
             tab.check_invariants()
 
     def test_commutation_violation_detected(self):
-        # X1 and Z1 anticommute
-        tab = SuperStabilizerTableau(
-            2,
-            np.array([[1], [0]], dtype=np.uint64),
-            np.array([[1 ^ 1], [1]], dtype=np.uint64),
-        )
+        # stabilizer 0 = X1 and stabilizer 1 = Z1 anticommute
+        tab = SuperStabilizerTableau(2, [0b01, 0], [0b10, 0])
         with pytest.raises(TableauError, match="anticommute"):
             tab.check_invariants()
 
