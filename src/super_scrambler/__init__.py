@@ -26,6 +26,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentError,
     build_ghz_program,
+    circuit_stream,
     estimate_saturation_time,
     fit_growth_rate,
     page_value,
@@ -51,6 +52,7 @@ __all__ = [
     "T",
     "TableauError",
     "build_ghz_program",
+    "circuit_stream",
     "estimate_saturation_time",
     "fit_growth_rate",
     "format_program",

@@ -22,6 +22,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentError,
     build_ghz_program,
+    circuit_stream,
     page_value,
     run_random_ensemble,
     summarize,
@@ -29,7 +30,7 @@ from .experiments import (
     write_summary,
 )
 from .gf2 import gf2_rank
-from .model import ProgramError, parse_program
+from .model import C3, ProgramError, T, parse_program
 from .oracle import MAX_ORACLE_QUBITS, OperatorWavefunction, verify_gate_tables
 from .tableau import Region, SuperStabilizerTableau, TableauError
 
@@ -96,13 +97,17 @@ def _apply_config_defaults(args: argparse.Namespace, keys: Dict[str, type]) -> N
     if not getattr(args, "config", None):
         return
     file_values = load_config_file(args.config)
+    unknown = sorted(set(file_values) - set(keys))
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise UsageError(f"{args.config}: unknown key {names}")
     for key, cast in keys.items():
         if getattr(args, key, None) is None and key in file_values:
             raw = file_values[key]
-            if cast is bool:
-                setattr(args, key, raw.lower() in ("1", "true", "yes"))
-            else:
+            try:
                 setattr(args, key, cast(raw))
+            except ValueError:
+                raise UsageError(f"{args.config}: bad value {raw!r} for key {key!r}")
 
 
 def max_workers() -> int:
@@ -236,18 +241,18 @@ def _oracle_check(config: ExperimentConfig, series) -> int:
         raise UsageError(
             f"--oracle-check requires n <= {MAX_ORACLE_QUBITS}"
         )
-    from .experiments import random_step
-
     children = np.random.SeedSequence(config.rng_seed).spawn(config.realizations)
     cut_sites = sorted(config.cut.sites)
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
         psi = OperatorWavefunction.new_all_x(config.n_qubits)
         sample_idx = 0
+        steps = circuit_stream(rng, config.n_qubits, config.time_steps)
         for step in range(0, config.time_steps + 1):
             if step > 0:
-                for gate in random_step(rng, config.n_qubits):
-                    psi.apply_gate(gate)
+                t_site, control, target_1, target_2 = next(steps)
+                psi.apply_gate(T(t_site))
+                psi.apply_gate(C3(control, target_1, target_2))
             if step % config.sample_every == 0:
                 expected = series.values[sample_idx, r]
                 got = psi.entropy(cut_sites)

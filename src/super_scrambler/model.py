@@ -44,23 +44,26 @@ class SuperPauli:
 
     def label(self) -> str:
         """One character per site over {I, X, Z, Y}."""
-        chars = []
-        for i in range(self.n_qubits):
-            x = (self.x_mask >> i) & 1
-            z = (self.z_mask >> i) & 1
-            chars.append("IXZY"[x + 2 * z])
-        return "".join(chars)
+        n = self.n_qubits
+        xs = format(self.x_mask, f"0{n}b")[::-1]
+        zs = format(self.z_mask, f"0{n}b")[::-1]
+        return "".join([_LABEL_CHAR[xz] for xz in zip(xs, zs)])
 
     @classmethod
     def from_label(cls, label: str) -> "SuperPauli":
-        x_mask = z_mask = 0
-        for i, c in enumerate(label):
-            if c not in "IXZY":
-                raise ValueError(f"bad stabilizer character {c!r}")
-            code = "IXZY".index(c)
-            x_mask |= (code & 1) << i
-            z_mask |= (code >> 1) << i
+        bad = label.translate(_DROP_LABEL_CHARS)
+        if bad:
+            raise ValueError(f"bad stabilizer character {bad[0]!r}")
+        x_mask = int(label.translate(_X_BIT)[::-1] or "0", 2)
+        z_mask = int(label.translate(_Z_BIT)[::-1] or "0", 2)
         return cls(len(label), x_mask, z_mask)
+
+
+# label characters by (x bit, z bit), and the per-plane bits of each character
+_LABEL_CHAR = {("0", "0"): "I", ("1", "0"): "X", ("0", "1"): "Z", ("1", "1"): "Y"}
+_DROP_LABEL_CHARS = str.maketrans("", "", "IXZY")
+_X_BIT = str.maketrans("IXZY", "0101")
+_Z_BIT = str.maketrans("IXZY", "0011")
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,20 @@ class TestRandom:
         )
         assert code == 0
 
+    def test_config_file_bad_value_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 6\nsteps = 20\nreals = 2\nseed = 5\ncut = abc\n")
+        code, _, err = run_cli(["random", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert str(cfg) in err and "'cut'" in err
+
+    def test_config_file_unknown_key_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 6\nsteps = 20\nreals = 2\nseed = 5\nsaple_every = 3\n")
+        code, _, err = run_cli(["random", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert str(cfg) in err and "'saple_every'" in err
+
     def test_missing_flags_usage_error(self, capsys):
         code, _, err = run_cli(["random", "--n", "6"], capsys)
         assert code == 2

@@ -7,7 +7,9 @@ from super_scrambler.experiments import (
     EntropySeries,
     ExperimentConfig,
     ExperimentError,
+    STREAM_BLOCK,
     build_ghz_program,
+    circuit_stream,
     estimate_saturation_time,
     fit_growth_rate,
     format_float,
@@ -94,6 +96,57 @@ class TestRandomStep:
             expected = draws / k
             sigma = math.sqrt(draws * (1 / k) * (1 - 1 / k))
             assert np.all(np.abs(counts - expected) <= 5 * sigma)
+
+
+def scalar_steps(rng, n, steps):
+    out = []
+    for _ in range(steps):
+        t_gate, c3 = random_step(rng, n)
+        out.append((t_gate.site, c3.control, c3.target_1, c3.target_2))
+    return out
+
+
+class TestCircuitStream:
+    """`circuit_stream` must equal successive `random_step` draws exactly."""
+
+    def assert_matches(self, n, seed, steps):
+        got = list(circuit_stream(np.random.default_rng(seed), n, steps))
+        assert got == scalar_steps(np.random.default_rng(seed), n, steps)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 120])
+    def test_matches_random_step(self, n):
+        for seed in range(4):
+            self.assert_matches(n, seed, 600)
+
+    @pytest.mark.parametrize("steps", [0, 1, 2 * STREAM_BLOCK + 37])
+    def test_step_counts_across_blocks(self, steps):
+        for n in (3, 120):
+            self.assert_matches(n, 11, steps)
+
+    @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30, 2**32])
+    def test_rejected_words_are_redrawn(self, n):
+        # up to half of the T-site words are rejected at these spans, in
+        # both blocks
+        self.assert_matches(n, 5, STREAM_BLOCK + 301)
+
+    def test_starts_after_a_buffered_half_word(self):
+        # one scalar step at N=12 draws three 32-bit words, leaving numpy
+        # holding the high half of the second 64-bit word; the stream then
+        # ends each full block with one unused word for the next block
+        steps = 2 * STREAM_BLOCK + 5
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        random_step(a, 12)
+        random_step(b, 12)
+        assert list(circuit_stream(a, 12, steps)) == scalar_steps(b, 12, steps)
+
+    def test_rejects_unsupported_inputs(self):
+        rng = np.random.default_rng(0)
+        for n, steps in ((2**32 + 1, 1), (2, 1), (5, -1)):
+            with pytest.raises(ExperimentError):
+                next(circuit_stream(rng, n, steps))
+        mt = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ExperimentError):
+            next(circuit_stream(mt, 5, 1))
 
 
 class TestRunRandomEnsemble:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from super_scrambler.model import (
     C3,
     OperatorProgram,
     ProgramError,
+    SuperPauli,
     Swap,
     T,
     format_program,
@@ -29,6 +32,28 @@ def random_gates(rng, n, count):
             c, t1, t2 = rng.choice(np.arange(1, n + 1), size=3, replace=False)
             gates.append(C3(int(c), int(t1), int(t2)))
     return gates
+
+
+class TestSuperPauliLabel:
+    def test_round_trip_random_masks(self):
+        rng = random.Random(4)
+        for n in (1, 2, 7, 64, 65, 120):
+            for _ in range(20):
+                x, z = rng.getrandbits(n), rng.getrandbits(n)
+                sp = SuperPauli(n, x, z)
+                label = sp.label()
+                assert len(label) == n
+                assert all(
+                    c == "IXZY"[((x >> i) & 1) + 2 * ((z >> i) & 1)]
+                    for i, c in enumerate(label)
+                )
+                assert SuperPauli.from_label(label) == sp
+
+    def test_bad_character_named(self):
+        with pytest.raises(ValueError, match="bad stabilizer character 'a'"):
+            SuperPauli.from_label("XZaYq")
+        with pytest.raises(ValueError, match="bad stabilizer character ' '"):
+            SuperPauli.from_label("X Y")
 
 
 class TestReverseFromStateSpace:
