@@ -1,4 +1,4 @@
-"""Command-line interface: verify, ghz, random, run-program, rank-bench.
+"""Command-line interface: verify, ghz, random, run-program.
 
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
 3 I/O error.
@@ -11,9 +11,8 @@ import hashlib
 import json
 import os
 import sys
-import time
 from datetime import datetime, timezone
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,16 +21,18 @@ from .experiments import (
     ExperimentConfig,
     ExperimentError,
     build_ghz_program,
-    circuit_stream,
-    page_value,
     run_random_ensemble,
     summarize,
     write_csv,
     write_summary,
 )
-from .gf2 import gf2_rank
-from .model import C3, ProgramError, T, parse_program
-from .oracle import MAX_ORACLE_QUBITS, OperatorWavefunction, verify_gate_tables
+from .model import ProgramError, parse_program
+from .oracle import (
+    MAX_ORACLE_QUBITS,
+    OperatorWavefunction,
+    OracleError,
+    verify_gate_tables,
+)
 from .tableau import Region, SuperStabilizerTableau, TableauError
 
 EXIT_OK = 0
@@ -78,9 +79,22 @@ def write_manifest(
         f.write("\n")
 
 
-def load_config_file(path: str) -> Dict[str, str]:
-    """Flat key = value format mirroring flag names, # comments."""
-    out: Dict[str, str] = {}
+# `random` settings: flag name -> (ExperimentConfig field, cast for --config strings)
+RANDOM_KEYS = {
+    "n": ("n_qubits", int),
+    "steps": ("time_steps", int),
+    "reals": ("realizations", int),
+    "seed": ("rng_seed", int),
+    "cut": ("cut", int),
+    "sample_every": ("sample_every", int),
+    "out": ("output", str),
+}
+
+
+def load_config_file(path: str) -> dict:
+    """`random` settings from flat key = value lines named like the flags,
+    # comments; each value cast as `RANDOM_KEYS` says."""
+    out = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -90,24 +104,65 @@ def load_config_file(path: str) -> Dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             out[key.replace("-", "_")] = value
+    unknown = sorted(set(out) - set(RANDOM_KEYS))
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise UsageError(f"{path}: unknown key {names}")
+    for key, value in out.items():
+        try:
+            out[key] = RANDOM_KEYS[key][1](value)
+        except ValueError:
+            raise UsageError(f"{path}: bad value {value!r} for key {key!r}")
     return out
 
 
-def _apply_config_defaults(args: argparse.Namespace, keys: Dict[str, type]) -> None:
-    if not getattr(args, "config", None):
-        return
-    file_values = load_config_file(args.config)
-    unknown = sorted(set(file_values) - set(keys))
-    if unknown:
-        names = ", ".join(repr(key) for key in unknown)
-        raise UsageError(f"{args.config}: unknown key {names}")
-    for key, cast in keys.items():
-        if getattr(args, key, None) is None and key in file_values:
-            raw = file_values[key]
-            try:
-                setattr(args, key, cast(raw))
-            except ValueError:
-                raise UsageError(f"{args.config}: bad value {raw!r} for key {key!r}")
+def random_config(args: argparse.Namespace) -> Tuple[ExperimentConfig, List[str]]:
+    """The `random` settings and the output digests the run must reproduce.
+
+    Each key is taken from the first source that gives it: the flags, the
+    `--from-manifest` config, the `--config` file.  An int cut p is the
+    prefix 1..p; a manifest's site list is used as recorded.  The digests are
+    the manifest's, in output order, when no other source changes its
+    settings; otherwise there are none.
+    """
+    sources = [{key: getattr(args, key) for key in RANDOM_KEYS}]
+    saved, digests = {}, []
+    if args.from_manifest:
+        try:
+            with open(args.from_manifest) as f:
+                manifest = json.load(f)
+            saved = dict(manifest["config"])
+            digests = list(dict(manifest.get("outputs", {})).values())
+        except (OSError, KeyError, TypeError, ValueError) as e:
+            raise OSError(f"bad manifest: {e}") from e
+        if manifest.get("version") != __version__:
+            raise UsageError(
+                f"{args.from_manifest}: written by version "
+                f"{manifest.get('version')!r}, this is {__version__!r}"
+            )
+        sources.append({key: saved.get(f) for key, (f, _) in RANDOM_KEYS.items()})
+    if args.config:
+        sources.append(load_config_file(args.config))
+    # later sources overwrite earlier ones here, so the first source wins
+    settings = {
+        RANDOM_KEYS[key][0]: value
+        for source in reversed(sources)
+        for key, value in source.items()
+        if value is not None
+    }
+    for key in ("n", "steps", "reals", "seed"):
+        if RANDOM_KEYS[key][0] not in settings:
+            raise UsageError(f"--{key} is required")
+    cut = settings.get("cut")
+    try:
+        if isinstance(cut, int):
+            settings["cut"] = Region.prefix(cut)
+        elif cut is not None:
+            settings["cut"] = Region(cut)
+        config = ExperimentConfig(**settings)
+    except (TypeError, ValueError) as e:
+        raise UsageError(str(e))
+    return config, digests if config.to_dict() == saved else []
 
 
 def max_workers() -> int:
@@ -163,108 +218,61 @@ def cmd_ghz(args: argparse.Namespace) -> int:
 
 
 def cmd_random(args: argparse.Namespace) -> int:
-    if args.from_manifest:
-        try:
-            with open(args.from_manifest) as f:
-                saved = json.load(f)["config"]
-        except (OSError, KeyError, json.JSONDecodeError) as e:
-            print(f"error: bad manifest: {e}", file=sys.stderr)
-            return EXIT_IO
-        for flag, key in (
-            ("n", "n_qubits"),
-            ("steps", "time_steps"),
-            ("reals", "realizations"),
-            ("seed", "rng_seed"),
-            ("sample_every", "sample_every"),
-            ("out", "output"),
-        ):
-            if getattr(args, flag) is None:
-                setattr(args, flag, saved.get(key))
-        if args.cut is None and saved.get("cut"):
-            args.cut = len(saved["cut"])
-    _apply_config_defaults(
-        args,
-        {
-            "n": int,
-            "steps": int,
-            "reals": int,
-            "seed": int,
-            "cut": int,
-            "sample_every": int,
-            "out": str,
-        },
-    )
-    for key in ("n", "steps", "reals", "seed"):
-        if getattr(args, key) is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
-    cut = Region.prefix(args.cut if args.cut is not None else args.n // 2)
-    config = ExperimentConfig(
-        n_qubits=args.n,
-        time_steps=args.steps,
-        realizations=args.reals,
-        rng_seed=args.seed,
-        cut=cut,
-        sample_every=args.sample_every or 1,
-        output=args.out,
-    )
-    series = run_random_ensemble(config, max_workers=max_workers())
+    config, digests = random_config(args)
+    workers = max_workers()
+    if args.oracle_check:
+        if config.n_qubits > MAX_ORACLE_QUBITS:
+            raise UsageError(f"--oracle-check requires n <= {MAX_ORACLE_QUBITS}")
+        if not 0 < len(config.cut) < config.n_qubits:
+            raise UsageError("--oracle-check requires a nonempty proper cut")
+    series = run_random_ensemble(config, max_workers=workers)
 
     if args.oracle_check:
-        rc = _oracle_check(config, series)
-        if rc != EXIT_OK:
-            return rc
+        oracle = run_random_ensemble(
+            config, max_workers=workers, simulator=OperatorWavefunction
+        )
+        # first mismatch in realization-then-step order
+        mismatches = np.argwhere(np.abs(oracle.values - series.values).T > 1e-6)
+        if len(mismatches):
+            r, i = mismatches[0]
+            print(
+                f"oracle mismatch: realization {r} step {series.steps[i]}: "
+                f"tableau {series.values[i, r]} oracle {oracle.values[i, r]}",
+                file=sys.stderr,
+            )
+            return EXIT_FAIL
+        print("oracle check passed")
 
     summary = summarize(config, series)
     outputs = []
-    if args.out:
-        write_csv(series, args.out)
-        summary_path = os.path.splitext(args.out)[0] + ".summary.json"
+    if config.output:
+        write_csv(series, config.output)
+        summary_path = os.path.splitext(config.output)[0] + ".summary.json"
         write_summary(summary, summary_path)
-        outputs = [args.out, summary_path]
+        outputs = [config.output, summary_path]
     plateau = summary["plateau"]
     print(f"plateau: {plateau:.4f} bits" if plateau is not None else "plateau: n/a")
     for key in ("growth_rate", "saturation_step", "page_value"):
         print(f"{key}: {summary[key]}")
+    for path, digest in zip(outputs, digests):
+        if _sha256(path) != digest:
+            print(
+                f"error: {path} does not match its digest in {args.from_manifest}",
+                file=sys.stderr,
+            )
+            return EXIT_FAIL
     manifest_path = args.manifest or (
-        args.out + ".manifest.json" if args.out else None
+        config.output + ".manifest.json" if config.output else None
     )
     if manifest_path:
         write_manifest(
-            manifest_path, "random", config.to_dict(), args.seed, args._started, outputs
+            manifest_path,
+            "random",
+            config.to_dict(),
+            config.rng_seed,
+            args._started,
+            outputs,
         )
-    return EXIT_OK
-
-
-def _oracle_check(config: ExperimentConfig, series) -> int:
-    """Re-run every realization with the dense oracle and compare entropies."""
-    if config.n_qubits > MAX_ORACLE_QUBITS:
-        raise UsageError(
-            f"--oracle-check requires n <= {MAX_ORACLE_QUBITS}"
-        )
-    children = np.random.SeedSequence(config.rng_seed).spawn(config.realizations)
-    cut_sites = sorted(config.cut.sites)
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        psi = OperatorWavefunction.new_all_x(config.n_qubits)
-        sample_idx = 0
-        steps = circuit_stream(rng, config.n_qubits, config.time_steps)
-        for step in range(0, config.time_steps + 1):
-            if step > 0:
-                t_site, control, target_1, target_2 = next(steps)
-                psi.apply_gate(T(t_site))
-                psi.apply_gate(C3(control, target_1, target_2))
-            if step % config.sample_every == 0:
-                expected = series.values[sample_idx, r]
-                got = psi.entropy(cut_sites)
-                if abs(got - expected) > 1e-6:
-                    print(
-                        f"oracle mismatch: realization {r} step {step}: "
-                        f"tableau {expected} oracle {got}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_FAIL
-                sample_idx += 1
-    print("oracle check passed")
     return EXIT_OK
 
 
@@ -288,20 +296,6 @@ def cmd_run_program(args: argparse.Namespace) -> int:
     if args.manifest:
         config = {"file": args.file, "entropy_cuts": args.entropy_cuts}
         write_manifest(args.manifest, "run-program", config, None, args._started, [])
-    return EXIT_OK
-
-
-def cmd_rank_bench(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    n = args.size
-    total = 0.0
-    for _ in range(args.iters):
-        rows = [int(x) for x in rng.integers(0, 1 << 62, size=n, dtype=np.int64)]
-        start = time.perf_counter()
-        gf2_rank(rows)
-        total += time.perf_counter() - start
-    per = total / args.iters
-    print(f"gf2_rank on {n}x62 bit matrices: {per * 1e6:.1f} us/call over {args.iters} calls")
     return EXIT_OK
 
 
@@ -354,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_run_program)
 
-    p = sub.add_parser("rank-bench", help="GF(2) rank micro-benchmark")
-    p.add_argument("--size", type=int, default=120)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_rank_bench)
-
     return parser
 
 
@@ -369,7 +357,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args._started = _utcnow()
     try:
         return args.func(args)
-    except (UsageError, ProgramError, TableauError, ExperimentError) as e:
+    except (
+        UsageError, ProgramError, TableauError, ExperimentError, OracleError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

@@ -175,38 +175,42 @@ def circuit_stream(
 
 
 def _run_realization(
-    args: Tuple[int, int, int, Tuple[int, ...], np.random.SeedSequence]
-) -> List[int]:
-    n_qubits, time_steps, sample_every, cut_sites, seed_seq = args
+    args: Tuple[type, int, int, int, Region, np.random.SeedSequence]
+) -> List[float]:
+    simulator, n_qubits, time_steps, sample_every, region, seed_seq = args
     rng = np.random.default_rng(seed_seq)
-    tableau = SuperStabilizerTableau.new_all_x(n_qubits)
-    region = Region(cut_sites)
-    out = [tableau.entropy(region)]
+    state = simulator.new_all_x(n_qubits)
+    out = [state.entropy(region)]
     steps = circuit_stream(rng, n_qubits, time_steps)
     for step, (t_site, control, target_1, target_2) in enumerate(steps, start=1):
-        tableau.apply_t(t_site)
-        tableau.apply_c3(control, target_1, target_2)
+        state.apply_t(t_site)
+        state.apply_c3(control, target_1, target_2)
         if step % sample_every == 0:
-            out.append(tableau.entropy(region))
+            out.append(state.entropy(region))
     return out
 
 
 def run_random_ensemble(
-    config: ExperimentConfig, max_workers: int = 1
+    config: ExperimentConfig,
+    max_workers: int = 1,
+    simulator: type = SuperStabilizerTableau,
 ) -> EntropySeries:
-    """Evolve `realizations` independent tableaus and aggregate entropies.
+    """Evolve `realizations` independent states and aggregate entropies.
 
     Realization r uses the r-th child of SeedSequence(rng_seed), so results
-    are reproducible and independent of worker count.
+    are reproducible and independent of worker count.  `simulator` is the
+    class evolved: any with `new_all_x`, `apply_t`, `apply_c3` and
+    `entropy(region)`, such as the dense `OperatorWavefunction` that
+    `--oracle-check` runs the same circuits on.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.realizations)
-    cut_sites = tuple(sorted(config.cut.sites))
     jobs = [
         (
+            simulator,
             config.n_qubits,
             config.time_steps,
             config.sample_every,
-            cut_sites,
+            config.cut,
             child,
         )
         for child in children

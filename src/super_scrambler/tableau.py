@@ -11,7 +11,7 @@ tracked; they do not affect entanglement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from .gf2 import gf2_rank
 from .model import C3, OperatorProgram, SuperGate, SuperPauli, Swap, T
@@ -46,6 +46,10 @@ class Region:
 
     def __len__(self) -> int:
         return len(self.sites)
+
+    def __iter__(self) -> Iterator[int]:
+        """The sites in increasing order."""
+        return iter(sorted(self.sites))
 
 
 def _transpose(rows: Sequence[int], n: int) -> List[int]:

@@ -124,6 +124,141 @@ class TestRandom:
         assert code == 2
         assert "--steps" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--cut", "11"], ["--cut", "-1"], ["--sample-every", "0"]],
+    )
+    def test_bad_cut_or_sample_every_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        code, _, err = run_cli(
+            ["random", "--n", "10", "--steps", "5", "--reals", "1", "--seed", "1",
+             "--out", str(out)] + flags,
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out.exists()
+
+    def test_oracle_check_n_limit_before_ensemble(self, capsys, monkeypatch):
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("ensemble ran before the precondition check")
+
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, _, err = run_cli(
+            ["random", "--n", "60", "--steps", "10", "--reals", "4",
+             "--seed", "1", "--oracle-check"],
+            capsys,
+        )
+        assert code == 2
+        assert "n <= 16" in err
+
+    def test_oracle_check_empty_cut_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["random", "--n", "6", "--steps", "10", "--reals", "1",
+             "--seed", "1", "--cut", "0", "--oracle-check"],
+            capsys,
+        )
+        assert code == 2
+        assert "nonempty proper cut" in err
+
+    def test_oracle_check_mismatch_fails(self, capsys, monkeypatch):
+        from super_scrambler.oracle import OperatorWavefunction
+
+        entropy = OperatorWavefunction.entropy
+        monkeypatch.setattr(
+            OperatorWavefunction,
+            "entropy",
+            lambda self, region: entropy(self, region) + 1.0,
+        )
+        code, out, err = run_cli(
+            ["random", "--n", "6", "--steps", "30", "--reals", "2",
+             "--seed", "4", "--oracle-check"],
+            capsys,
+        )
+        assert code == 1
+        assert "oracle check passed" not in out
+        assert "oracle mismatch: realization 0 step 0: tableau 0.0 oracle 1.0" in err
+
+    def _first_run(self, tmp_path, capsys, *extra):
+        out = tmp_path / "run.csv"
+        flags = ["random", "--n", "8", "--steps", "40", "--reals", "3",
+                 "--seed", "13", "--out", str(out), *extra]
+        assert run_cli(flags, capsys)[0] == 0
+        return out, tmp_path / "run.csv.manifest.json"
+
+    def test_rerun_from_manifest_keeps_empty_cut(self, tmp_path, capsys):
+        out, manifest = self._first_run(tmp_path, capsys, "--cut", "0")
+        assert json.loads(manifest.read_text())["config"]["cut"] == []
+        first = out.read_bytes()
+        out.unlink()
+        code, _, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 0, err
+        assert out.read_bytes() == first
+
+    def test_rerun_from_manifest_keeps_non_prefix_cut(self, tmp_path, capsys):
+        out, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        record["config"]["cut"] = [2, 5, 7]
+        record["outputs"] = {}
+        manifest.write_text(json.dumps(record))
+        code, _, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 0, err
+        summary = json.loads((tmp_path / "run.summary.json").read_text())
+        assert summary["config"]["cut"] == [2, 5, 7]
+
+    def test_rerun_from_manifest_version_mismatch(self, tmp_path, capsys):
+        _, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        record["version"] = "0.0.0-other"
+        manifest.write_text(json.dumps(record))
+        code, _, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 2
+        assert "0.0.0-other" in err
+
+    def test_rerun_from_manifest_digest_mismatch(self, tmp_path, capsys):
+        _, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        summary_path = str(tmp_path / "run.summary.json")
+        record["outputs"][summary_path] = "0" * 64
+        manifest.write_text(json.dumps(record))
+        code, _, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {summary_path} does not match its digest")
+        assert json.loads(manifest.read_text()) == record
+
+    @pytest.mark.parametrize(
+        "content", ["{not json", "[]", '{"version": "0.1.0"}', '{"config": 3}']
+    )
+    def test_unreadable_manifest_io_error(self, content, tmp_path, capsys):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(content)
+        code, _, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 3
+        assert err.startswith("error: bad manifest")
+
+    def test_source_order_flag_manifest_config_file(self, tmp_path, capsys):
+        manifest = tmp_path / "first.json"
+        flags = ["random", "--n", "8", "--steps", "40", "--reals", "3",
+                 "--seed", "13", "--sample-every", "4", "--manifest", str(manifest)]
+        assert run_cli(flags, capsys)[0] == 0
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "c.csv"
+        cfg.write_text(f"seed = 99\nsample_every = 5\ncut = 2\nout = {out}\n")
+        rerun = tmp_path / "second.json"
+        code, _, err = run_cli(
+            ["random", "--from-manifest", str(manifest), "--config", str(cfg),
+             "--reals", "2", "--manifest", str(rerun)],
+            capsys,
+        )
+        assert code == 0, err
+        config = json.loads(rerun.read_text())["config"]
+        assert config["realizations"] == 2  # flag over manifest
+        assert config["rng_seed"] == 13  # manifest over config file
+        assert config["sample_every"] == 4
+        assert config["cut"] == [1, 2, 3, 4]
+        assert config["output"] == str(out)  # config file fills what is left
+        assert out.exists()
+
 
 class TestRunProgram:
     def test_ghz_program_file(self, tmp_path, capsys):
@@ -179,15 +314,6 @@ class TestRunProgram:
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(["run-program", "/nonexistent.prog"], capsys)
         assert code == 3
-
-
-class TestRankBench:
-    def test_runs(self, capsys):
-        code, out, _ = run_cli(
-            ["rank-bench", "--size", "64", "--iters", "5"], capsys
-        )
-        assert code == 0
-        assert "gf2_rank" in out
 
 
 class TestEntryPoint:

@@ -198,6 +198,21 @@ class TestRunRandomEnsemble:
                     )
                     sample += 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_oracle_simulator_matches_tableau(self, workers):
+        cfg = ExperimentConfig(
+            n_qubits=6, time_steps=40, realizations=2, rng_seed=8,
+            cut=Region([5, 2, 3]), sample_every=3,
+        )
+        assert list(cfg.cut) == [2, 3, 5]
+        tableau = run_random_ensemble(cfg)
+        oracle = run_random_ensemble(
+            cfg, max_workers=workers, simulator=OperatorWavefunction
+        )
+        assert np.array_equal(oracle.steps, tableau.steps)
+        assert np.allclose(oracle.values, tableau.values, atol=1e-6, rtol=0)
+        assert tableau.values.max() > 0
+
     def test_mean_grows_on_average(self):
         cfg = ExperimentConfig(
             n_qubits=10, time_steps=150, realizations=8, rng_seed=2, sample_every=10
