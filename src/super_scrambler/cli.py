@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from datetime import datetime, timezone
 from typing import List, Optional, Tuple
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    EntropySeries,
     ExperimentConfig,
     ExperimentError,
     build_ghz_program,
@@ -175,6 +177,26 @@ def max_workers() -> int:
         raise UsageError("SUPER_SCRAMBLER_THREADS must be an integer")
 
 
+def replace_if_reproduced(
+    series: EntropySeries, summary: dict, outputs: List[str], digests: List[str]
+) -> Optional[str]:
+    """Write the CSV and summary into a directory beside `outputs`, compare
+    them with the recorded `digests` by position, and move them over
+    `outputs` only if all match.  Returns the first output that does not
+    match, whose recorded files are then left as they are."""
+    parent = os.path.dirname(os.path.abspath(outputs[0]))
+    with tempfile.TemporaryDirectory(dir=parent) as tmp:
+        staged = [os.path.join(tmp, "csv"), os.path.join(tmp, "summary")]
+        write_csv(series, staged[0])
+        write_summary(summary, staged[1])
+        for path, written, digest in zip(outputs, staged, digests):
+            if _sha256(written) != digest:
+                return path
+        for written, path in zip(staged, outputs):
+            os.replace(written, path)
+    return None
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -244,23 +266,25 @@ def cmd_random(args: argparse.Namespace) -> int:
         print("oracle check passed")
 
     summary = summarize(config, series)
-    outputs = []
+    outputs, mismatch = [], None
     if config.output:
-        write_csv(series, config.output)
         summary_path = os.path.splitext(config.output)[0] + ".summary.json"
-        write_summary(summary, summary_path)
         outputs = [config.output, summary_path]
+        if digests:
+            mismatch = replace_if_reproduced(series, summary, outputs, digests)
+        else:
+            write_csv(series, config.output)
+            write_summary(summary, summary_path)
     plateau = summary["plateau"]
     print(f"plateau: {plateau:.4f} bits" if plateau is not None else "plateau: n/a")
     for key in ("growth_rate", "saturation_step", "page_value"):
         print(f"{key}: {summary[key]}")
-    for path, digest in zip(outputs, digests):
-        if _sha256(path) != digest:
-            print(
-                f"error: {path} does not match its digest in {args.from_manifest}",
-                file=sys.stderr,
-            )
-            return EXIT_FAIL
+    if mismatch:
+        print(
+            f"error: {mismatch} does not match its digest in {args.from_manifest}",
+            file=sys.stderr,
+        )
+        return EXIT_FAIL
     manifest_path = args.manifest or (
         config.output + ".manifest.json" if config.output else None
     )

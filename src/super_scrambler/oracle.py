@@ -1,8 +1,9 @@
 """Dense operator-space oracle: exact evolution for small qubit counts.
 
 The operator wavefunction lives in the 2^N-dimensional space spanned by
-X/Y strings; basis index = y_mask with site i at bit i-1.  Exponential
-cost, capped at 16 qubits; used as ground truth for the tableau.
+X/Y strings; basis index = y_mask with site i at bit i-1.  It is real
+(float64) from the all-X start, and the gates act on reshaped tensor views.
+Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .model import C3, OperatorProgram, SuperGate, SuperPauli, Swap, T
 
 MAX_ORACLE_QUBITS = 16
 _SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2  # complex division by sqrt(2) also multiplies by this
+_C3_SIGN = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
 class OracleError(ValueError):
@@ -24,12 +27,19 @@ class OracleError(ValueError):
 
 
 class OperatorWavefunction:
-    """Dense complex amplitudes over the X/Y string basis."""
+    """Dense amplitudes over the X/Y string basis.
+
+    Every gate maps X/Y strings to X/Y strings with real coefficients, so
+    the all-X start state stays a real float64 vector; complex amplitudes
+    are accepted and stay complex.  The gates update the contiguous vector
+    in place through reshaped views; axis j of the `(2,)*N` tensor is site N - j.
+    """
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
         if not 1 <= n_qubits <= MAX_ORACLE_QUBITS:
             raise OracleError(f"n_qubits must be in 1..{MAX_ORACLE_QUBITS}")
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+        amplitudes = np.asarray(amplitudes)
+        amplitudes = np.ascontiguousarray(amplitudes, np.result_type(amplitudes, float))
         if amplitudes.shape != (1 << n_qubits,):
             raise OracleError("amplitude vector has wrong length")
         self.n_qubits = n_qubits
@@ -38,7 +48,7 @@ class OperatorWavefunction:
     @classmethod
     def new_all_x(cls, n_qubits: int) -> "OperatorWavefunction":
         """The single string X_1...X_N: amplitude 1 on y_mask = 0."""
-        amps = np.zeros(1 << n_qubits, dtype=complex)
+        amps = np.zeros(1 << n_qubits)
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
@@ -52,55 +62,45 @@ class OperatorWavefunction:
         if not 1 <= site <= self.n_qubits:
             raise OracleError(f"site {site} out of range 1..{self.n_qubits}")
 
-    def _bit_indices(self, site: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(indices with site bit 0, same indices with site bit 1)."""
-        b = 1 << (site - 1)
-        idx = np.arange(1 << self.n_qubits)
-        i0 = idx[(idx & b) == 0]
-        return i0, i0 | b
-
     def apply_t(self, site: int) -> None:
         """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`."""
         self._check_site(site)
-        i0, i1 = self._bit_indices(site)
-        a0 = self.amplitudes[i0]
-        a1 = self.amplitudes[i1]
-        self.amplitudes[i0] = (a0 + a1) / _SQRT2
-        self.amplitudes[i1] = (a1 - a0) / _SQRT2
+        halves = self.amplitudes.reshape(-1, 2, 1 << (site - 1))
+        a0, a1 = halves[:, 0], halves[:, 1]  # site slot X, site slot Y
+        new_a0 = a0 + a1
+        a1 -= a0
+        a1 *= _INV_SQRT2
+        np.multiply(new_a0, _INV_SQRT2, out=a0)
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
         self._check_site(site_a)
         self._check_site(site_b)
         if site_a == site_b:
             raise OracleError("swap sites must be distinct")
-        ba, bb = 1 << (site_a - 1), 1 << (site_b - 1)
-        idx = np.arange(1 << self.n_qubits)
-        differ = ((idx & ba) != 0) != ((idx & bb) != 0)
-        src = idx[differ]
-        # fancy indexing on the right copies, so the pairwise exchange is safe
-        self.amplitudes[src] = self.amplitudes[src ^ ba ^ bb]
+        n = self.n_qubits
+        psi = self.amplitudes.reshape((2,) * n)
+        # numpy copies an overlapping source before it assigns
+        psi[...] = psi.swapaxes(n - site_a, n - site_b)
 
     def apply_c3(self, control: int, target_1: int, target_2: int) -> None:
         """Apply Y to both target slots when the control slot holds Y.
 
-        Y|X> = i|Y>, Y|Y> = -i|X>: both target bits flip with phase
-        -(-1)^(b1+b2).
+        Y|X> = i|Y>, Y|Y> = -i|X>: both target bits flip, and the flipped
+        string gets the sign `_C3_SIGN[its target bits]`: -1 if they are
+        equal, +1 otherwise.
         """
         sites = (control, target_1, target_2)
         for s in sites:
             self._check_site(s)
         if len(set(sites)) != 3:
             raise OracleError("C3 sites must be distinct")
-        bc = 1 << (control - 1)
-        b1 = 1 << (target_1 - 1)
-        b2 = 1 << (target_2 - 1)
-        idx = np.arange(1 << self.n_qubits)
-        on = idx[(idx & bc) != 0]
-        pop = (((on & b1) != 0).astype(int) + ((on & b2) != 0).astype(int)) & 1
-        phase = np.where(pop == 1, 1.0, -1.0)
-        new = self.amplitudes.copy()
-        new[on ^ b1 ^ b2] = phase * self.amplitudes[on]
-        self.amplitudes = new
+        n = self.n_qubits
+        on = [slice(None)] * n
+        on[n - control] = slice(1, 2)
+        sub = self.amplitudes.reshape((2,) * n)[tuple(on)]  # control slot holds Y
+        axes = (n - target_1, n - target_2)
+        sign = _C3_SIGN.reshape([2 if j in axes else 1 for j in range(n)])
+        sub[...] = np.flip(sub, axes) * sign
 
     def apply_gate(self, gate: SuperGate) -> None:
         if isinstance(gate, T):

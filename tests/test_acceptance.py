@@ -1,6 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line.  Run with `pytest tests/test_acceptance.py -s` to see the
-per-criterion report; the heavy ensembles take a few minutes in total.
+pass/fail line with its margins against the bounds.  Run with
+`pytest tests/test_acceptance.py -s` to see the per-criterion report.
 """
 
 import time
@@ -24,8 +24,12 @@ from super_scrambler.oracle import OperatorWavefunction, verify_gate_tables
 from super_scrambler.tableau import Region, SuperStabilizerTableau
 
 
-def report(name, ok):
-    print(f"\n[{'PASS' if ok else 'FAIL'}] {name}")
+def report(name, ok, margins=()):
+    """Print PASS/FAIL and, per bound, how far the measured value lies
+    inside it (negative: outside)."""
+    detail = "; ".join(f"{label} = {value:+.4g}" for label, value in margins)
+    tail = f"\n    margins: {detail}" if detail else ""
+    print(f"\n[{'PASS' if ok else 'FAIL'}] {name}{tail}")
     assert ok, name
 
 
@@ -52,12 +56,25 @@ def test_gate_algebra_conformance():
         and rep.all_passed
         and elapsed < 1.0
     )
-    report(f"gate-algebra conformance (11 identities, {elapsed:.2f}s)", ok)
+    worst = max((c.max_deviation for c in identity_checks), default=float("nan"))
+    least = min(c.tolerance - c.max_deviation for c in rep.checks)
+    margins = [
+        ("1e-12 - max identity deviation", 1e-12 - worst),
+        ("min(tolerance - deviation)", least),
+        ("1.0s - elapsed", 1.0 - elapsed),
+    ]
+    report(
+        f"gate-algebra conformance (11 identities, max deviation {worst:.1e}, "
+        f"{elapsed:.2f}s)",
+        ok,
+        margins,
+    )
 
 
 def test_deterministic_circuit():
     start = time.perf_counter()
     ok = True
+    oracle_error, size_margin = 0.0, float("inf")
     for n in (3, 6, 12, 30):
         k = n // 3
         tab = SuperStabilizerTableau.new_all_x(n)
@@ -68,18 +85,32 @@ def test_deterministic_circuit():
         local.apply_program(local_prog)
         ok &= local.dumps() == tab.dumps()
         ok &= len(local_prog) <= 6 * n * n
+        size_margin = min(size_margin, 6 * n * n - len(local_prog))
         if n <= 12:
             psi = OperatorWavefunction.new_all_x(n)
             psi.apply_program(build_ghz_program(n))
-            ok &= abs(psi.entropy(range(1, k + 1)) - k) < 1e-6
+            error = abs(psi.entropy(range(1, k + 1)) - k)
+            ok &= error < 1e-6
+            oracle_error = max(oracle_error, error)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
-    report(f"deterministic GHZ circuit, N in (3,6,12,30) ({elapsed:.2f}s)", ok)
+    margins = [
+        ("min(6N^2 - localized gates)", size_margin),
+        ("1e-6 - max |S_oracle - k|", 1e-6 - oracle_error),
+        ("5.0s - elapsed", 5.0 - elapsed),
+    ]
+    report(
+        f"deterministic GHZ circuit, N in (3,6,12,30), oracle error "
+        f"{oracle_error:.1e} ({elapsed:.2f}s)",
+        ok,
+        margins,
+    )
 
 
 def test_oracle_equivalence():
     start = time.perf_counter()
     ok = True
+    worst = 0.0
     for n in range(3, 13):
         for seed in range(20):
             rng = np.random.default_rng((n, seed))
@@ -96,6 +127,7 @@ def test_oracle_equivalence():
                             - psi.entropy(range(1, p + 1))
                         )
                         ok &= diff < 1e-6
+                        worst = max(worst, diff)
                     for sp in tab.stabilizers:
                         ok &= psi.check_stabilized(sp) in ("plus", "minus")
             if not ok:
@@ -105,8 +137,10 @@ def test_oracle_equivalence():
     elapsed = time.perf_counter() - start
     ok &= elapsed < 600.0
     report(
-        f"tableau/oracle equivalence, N=3..12, 20 seeds x 200 steps ({elapsed:.1f}s)",
+        f"tableau/oracle equivalence, N=3..12, 20 seeds x 200 steps, max |dS| "
+        f"{worst:.1e} ({elapsed:.1f}s)",
         ok,
+        [("1e-6 - max |dS|", 1e-6 - worst), ("600s - elapsed", 600.0 - elapsed)],
     )
 
 
@@ -117,6 +151,7 @@ def test_invariant_suite():
     rng = np.random.default_rng(77)
     ok = True
     gates_applied = 0
+    low, high = float("inf"), float("inf")
     while gates_applied < 100_000:
         for _ in range(2500):  # 5000 gates between checks
             for gate in random_step(rng, n):
@@ -139,9 +174,15 @@ def test_invariant_suite():
         s = tab.entropy(region)
         ok &= s == tab.entropy(region.complement(n))
         ok &= 0 <= s <= min(p, n - p)
+        low, high = min(low, s), min(high, min(p, n - p) - s)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
-    report(f"invariant suite, 1e5 gates at N=120 ({elapsed:.1f}s)", ok)
+    margins = [
+        ("min(S - 0)", low),
+        ("min(min(p, N-p) - S)", high),
+        ("60s - elapsed", 60.0 - elapsed),
+    ]
+    report(f"invariant suite, 1e5 gates at N=120 ({elapsed:.1f}s)", ok, margins)
 
 
 def test_fig1_reproduction(fig1_series):
@@ -159,11 +200,22 @@ def test_fig1_reproduction(fig1_series):
     y = mean[window]
     corr = np.corrcoef(x, y)[0, 1]
     ok &= window.sum() >= 5 and corr > 0.99
-    ok &= fit_growth_rate(series) > 0
+    rate = fit_growth_rate(series)
+    ok &= rate > 0
+    margins = [
+        ("plateau - 54", plateau - 0.9 * 60),
+        ("60 - plateau", 60 - plateau),
+        ("page - plateau", page - plateau),
+        ("1e-9 - |page - 59.2786524796|", 1e-9 - abs(page - 59.2786524796)),
+        ("window - 5", int(window.sum()) - 5),
+        ("corr - 0.99", corr - 0.99),
+        ("growth rate - 0", rate),
+    ]
     report(
         f"Fig.1 reproduction: N=120, 50 realizations, plateau {plateau:.2f} bits "
         f"(Page {page:.2f}), growth correlation {corr:.4f}",
         ok,
+        margins,
     )
 
 
@@ -193,10 +245,17 @@ def test_scaling_claims(fig1_series):
         series_24
     )
     ok = 2.0 <= slope_ratio <= 8.0 and 8.0 <= sat_ratio <= 32.0
+    margins = [
+        ("slope ratio - 2", slope_ratio - 2.0),
+        ("8 - slope ratio", 8.0 - slope_ratio),
+        ("t_sat ratio - 8", sat_ratio - 8.0),
+        ("32 - t_sat ratio", 32.0 - sat_ratio),
+    ]
     report(
         f"scaling: slope(30)/slope(120) = {slope_ratio:.2f} in [2,8], "
         f"t_sat(96)/t_sat(24) = {sat_ratio:.2f} in [8,32]",
         ok,
+        margins,
     )
 
 

@@ -226,6 +226,21 @@ class TestRandom:
         assert err.startswith(f"error: {summary_path} does not match its digest")
         assert json.loads(manifest.read_text()) == record
 
+    def test_digest_mismatch_leaves_recorded_outputs(self, tmp_path, capsys):
+        out, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        summary_path = tmp_path / "run.summary.json"
+        summary_path.write_bytes(b'{"recorded": "elsewhere"}\n')
+        record["outputs"][str(summary_path)] = "0" * 64
+        manifest.write_text(json.dumps(record))
+        csv_bytes = out.read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        code, _, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 1, err
+        assert summary_path.read_bytes() == b'{"recorded": "elsewhere"}\n'
+        assert out.read_bytes() == csv_bytes
+        assert sorted(tmp_path.iterdir()) == listing  # nothing staged is left
+
     @pytest.mark.parametrize(
         "content", ["{not json", "[]", '{"version": "0.1.0"}', '{"config": 3}']
     )

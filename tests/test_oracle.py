@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from super_scrambler.oracle import (
     OracleError,
     c3_state_space_matrix,
     verify_gate_tables,
+    _T,
     _embed,
     _pauli_string,
 )
@@ -31,6 +34,64 @@ def random_program(rng, n, gate_count=40):
     return OperatorProgram(n, tuple(gates))
 
 
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def heisenberg_reference(amps, gate, sites):
+    """Amplitudes of U† O U for O = sum_y a_y P_y, with U the state-space
+    `gate` embedded on `sites`, expanded back in the X/Y string basis."""
+    n = len(amps).bit_length() - 1
+    strings = [
+        _pauli_string("".join("Y" if (y >> i) & 1 else "X" for i in range(n)))
+        for y in range(1 << n)
+    ]
+    u = _embed(gate, list(sites), n)
+    op = sum(a * p for a, p in zip(amps, strings))
+    conj = u.conj().T @ op @ u
+    return np.array([np.trace(p @ conj) / (1 << n) for p in strings])
+
+
+def random_amplitudes(rng, n, dtype):
+    amps = rng.normal(size=1 << n)
+    if dtype is complex:
+        amps = amps + 1j * rng.normal(size=1 << n)
+    return amps
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+class TestHeisenbergReference:
+    """Each gate against explicit conjugation of the operator it encodes."""
+
+    def check(self, rng, n, dtype, method, gate, sites):
+        amps = random_amplitudes(rng, n, dtype)
+        psi = OperatorWavefunction(n, amps.copy())
+        getattr(psi, method)(*sites)
+        expected = heisenberg_reference(amps, gate, sites)
+        assert psi.amplitudes.dtype == dtype
+        if dtype is float:  # X/Y strings map to real combinations
+            assert np.abs(expected.imag).max() < 1e-12
+        assert np.abs(psi.amplitudes - expected).max() < 1e-12, sites
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_apply_t_every_site(self, n, dtype):
+        rng = np.random.default_rng((1, n))
+        for site in range(1, n + 1):
+            self.check(rng, n, dtype, "apply_t", _T, (site,))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_apply_swap_every_pair(self, n, dtype):
+        rng = np.random.default_rng((2, n))
+        for pair in itertools.permutations(range(1, n + 1), 2):
+            self.check(rng, n, dtype, "apply_swap", _SWAP, pair)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_apply_c3_every_ordered_triple(self, n, dtype):
+        rng = np.random.default_rng((3, n))
+        c3 = c3_state_space_matrix()
+        for triple in itertools.permutations(range(1, n + 1), 3):
+            self.check(rng, n, dtype, "apply_c3", c3, triple)
+
+
 class TestConstruction:
     def test_all_x_two_qubits(self):
         psi = OperatorWavefunction.new_all_x(2)
@@ -44,6 +105,21 @@ class TestConstruction:
         psi = OperatorWavefunction.new_all_x(5)
         for p in range(1, 5):
             assert psi.entropy(range(1, p + 1)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_all_x_is_real(self):
+        assert OperatorWavefunction.new_all_x(4).amplitudes.dtype == np.float64
+
+    def test_complex_input_stays_complex(self):
+        amps = np.zeros(4, dtype=complex)
+        psi = OperatorWavefunction(2, amps)
+        assert psi.amplitudes.dtype == np.complex128
+        assert psi.amplitudes is amps
+
+    def test_int_input_becomes_float(self):
+        psi = OperatorWavefunction(2, np.array([1, 0, 0, 0]))
+        assert psi.amplitudes.dtype == np.float64
+        psi.apply_t(1)
+        assert np.allclose(psi.amplitudes, [1 / np.sqrt(2), -1 / np.sqrt(2), 0, 0])
 
     def test_qubit_cap(self):
         with pytest.raises(OracleError):
