@@ -145,17 +145,20 @@ class OperatorWavefunction:
         """
         if stabilizer.n_qubits != self.n_qubits:
             raise OracleError("stabilizer/wavefunction dimension mismatch")
-        idx = np.arange(1 << self.n_qubits)
-        zpar = np.zeros(len(idx), dtype=np.int64)
-        for p in range(self.n_qubits):
-            if (stabilizer.z_mask >> p) & 1:
-                zpar ^= (idx >> p) & 1
-        phase = np.where(zpar == 1, -1.0, 1.0)
-        out = np.empty_like(self.amplitudes)
-        out[idx ^ stabilizer.x_mask] = phase * self.amplitudes
-        if np.allclose(out, self.amplitudes, atol=1e-9):
+        n = self.n_qubits
+        x_axes = [n - 1 - j for j in range(n) if stabilizer.x_mask >> j & 1]
+        z_axes = [n - 1 - j for j in range(n) if stabilizer.z_mask >> j & 1]
+        sign = np.ones(1)
+        for _ in z_axes:  # (-1)^(bit parity); symmetric, so any axis order fits
+            sign = np.concatenate((sign, -sign))
+        sign = sign.reshape([2 if j in z_axes else 1 for j in range(n)])
+        psi = self.amplitudes.reshape((2,) * n)
+        out = np.flip(psi * sign, x_axes)
+        # np.allclose(out, ±psi, atol=1e-9) with its default rtol, spelled out
+        tol = 1e-9 + 1e-5 * np.abs(psi)
+        if (np.abs(out - psi) <= tol).all():
             return "plus"
-        if np.allclose(out, -self.amplitudes, atol=1e-9):
+        if (np.abs(out + psi) <= tol).all():
             return "minus"
         return "not_stabilized"
 

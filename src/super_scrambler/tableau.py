@@ -173,13 +173,17 @@ class SuperStabilizerTableau:
         """Operator entanglement across `region`: GF(2) rank of the
         region-restricted stabilizer matrix minus the region size.
 
-        The restricted matrix's rank is taken over its 2|A| site columns;
-        a matrix and its transpose have the same rank.
+        The rank is taken over the 2|A| site columns of the smaller side (a
+        matrix and its transpose have the same rank).  S(A) = S(A-bar) holds
+        for any tableau that passes `check_invariants` (N independent,
+        commuting stabilizers: a pure state); `loads` and `new_all_x`
+        establish that condition and every gate keeps it.
         """
-        region.validate(self.n_qubits)
-        cols = [self.x[s - 1] for s in region.sites]
-        cols += [self.z[s - 1] for s in region.sites]
-        return gf2_rank(cols) - len(region)
+        n = self.n_qubits
+        region.validate(n)
+        sites = region.sites if 2 * len(region) <= n else region.complement(n).sites
+        cols = [self.x[s - 1] for s in sites] + [self.z[s - 1] for s in sites]
+        return gf2_rank(cols) - len(sites)
 
     # -- invariants --------------------------------------------------------
 
@@ -187,14 +191,16 @@ class SuperStabilizerTableau:
         """Assert mutual commutation and GF(2) independence of the stabilizers."""
         n = self.n_qubits
         xs, zs = _transpose(self.x, n), _transpose(self.z, n)
-        for a in range(n):
+        rows = [x | (z << n) for x, z in zip(xs, zs)]
+        flipped = [z | (x << n) for x, z in zip(xs, zs)]
+        for a, row in enumerate(rows):
+            # the symplectic product x_a.z_b + z_a.x_b in one AND and popcount
             for b in range(a + 1, n):
-                sym = (xs[a] & zs[b]).bit_count() + (zs[a] & xs[b]).bit_count()
-                if sym % 2:
+                if (row & flipped[b]).bit_count() & 1:
                     raise TableauError(
                         f"stabilizers {a} and {b} anticommute"
                     )
-        if gf2_rank([xs[i] | (zs[i] << n) for i in range(n)]) != n:
+        if gf2_rank(rows) != n:
             raise TableauError("stabilizers are GF(2)-dependent")
 
     # -- serialization -----------------------------------------------------

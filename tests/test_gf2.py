@@ -63,6 +63,29 @@ def test_random_matches_naive_oracle():
         assert rank_of_bit_matrix(m) == naive_rank(m)
 
 
+def unpack_rows(rows):
+    """0/1 matrix of integer rows, as wide as the widest row."""
+    width = max(rows, default=0).bit_length()
+    return np.array([[(r >> j) & 1 for j in range(width)] for r in rows], dtype=int)
+
+
+def test_edge_inputs_match_naive_oracle():
+    assert gf2_rank([]) == 0
+    assert gf2_rank(iter([])) == 0
+    assert gf2_rank([0, 0, 0]) == 0
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        # rows of unequal widths, up to well past 64 bits, some all-zero
+        widths = rng.integers(0, 200, size=int(rng.integers(1, 40)))
+        rows = [int("0" + "".join(map(str, rng.integers(0, 2, size=w))), 2) for w in widths]
+        rows += [0, rows[0] ^ rows[-1]]
+        want = naive_rank(unpack_rows(rows))
+        assert gf2_rank(rows) == want
+        assert gf2_rank(r for r in rows) == want
+    wide = [1 << 150, (1 << 150) | 1, 1]
+    assert gf2_rank(wide) == naive_rank(unpack_rows(wide)) == 2
+
+
 def test_rectangular_and_dependent_rows():
     rng = np.random.default_rng(5)
     m = rng.integers(0, 2, size=(10, 30))

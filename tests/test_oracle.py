@@ -58,6 +58,30 @@ def random_amplitudes(rng, n, dtype):
     return amps
 
 
+def apply_super_pauli_reference(amps, stabilizer):
+    """The SuperPauli's action by index arithmetic: X-type factors flip basis
+    bits, Z-type factors give (-1)^bit phases."""
+    idx = np.arange(len(amps))
+    zpar = np.zeros(len(idx), dtype=np.int64)
+    for p in range(stabilizer.n_qubits):
+        if (stabilizer.z_mask >> p) & 1:
+            zpar ^= (idx >> p) & 1
+    phase = np.where(zpar == 1, -1.0, 1.0)
+    out = np.empty_like(amps)
+    out[idx ^ stabilizer.x_mask] = phase * amps
+    return out
+
+
+def check_stabilized_reference(psi, stabilizer):
+    """The index-arithmetic `check_stabilized`, kept as the reference."""
+    out = apply_super_pauli_reference(psi.amplitudes, stabilizer)
+    if np.allclose(out, psi.amplitudes, atol=1e-9):
+        return "plus"
+    if np.allclose(out, -psi.amplitudes, atol=1e-9):
+        return "minus"
+    return "not_stabilized"
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 class TestHeisenbergReference:
     """Each gate against explicit conjugation of the operator it encodes."""
@@ -301,6 +325,64 @@ class TestCheckStabilized:
                 assert tab.entropy(Region(sites)) == pytest.approx(
                     psi.entropy(sites), abs=1e-6
                 ), sites
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(47)
+        seen = set()
+        for n in range(1, 9):
+            for _ in range(4):
+                prog = random_program(rng, n, 30) if n >= 2 else OperatorProgram(1, ())
+                psi = OperatorWavefunction.new_all_x(n)
+                psi.apply_program(prog)
+                tab = SuperStabilizerTableau.new_all_x(n)
+                tab.apply_program(prog)
+                probes = []
+                for sp in tab.stabilizers:
+                    # X or Z at a site where sp acts anticommutes with sp, so
+                    # it maps psi to a state that sp stabilizes with the
+                    # opposite sign
+                    j = (sp.x_mask | sp.z_mask).bit_length() - 1
+                    z_j = sp.z_mask >> j & 1
+                    flip = SuperPauli(n, z_j << j, (1 - z_j) << j)
+                    anti = OperatorWavefunction(
+                        n, apply_super_pauli_reference(psi.amplitudes, flip)
+                    )
+                    want = check_stabilized_reference(psi, sp)
+                    assert want in ("plus", "minus")
+                    assert check_stabilized_reference(anti, sp) == {
+                        "plus": "minus", "minus": "plus"
+                    }[want]
+                    probes += [(psi, sp), (anti, sp)]
+                for _ in range(8):
+                    x_mask, z_mask = (int(m) for m in rng.integers(0, 1 << n, size=2))
+                    sp = SuperPauli(n, x_mask, z_mask)
+                    probes.append((psi, sp))
+                    for dtype in (float, complex):
+                        amps = random_amplitudes(rng, n, dtype)
+                        probes.append((OperatorWavefunction(n, amps), sp))
+                for state, sp in probes:
+                    want = check_stabilized_reference(state, sp)
+                    assert state.check_stabilized(sp) == want, (n, sp)
+                    seen.add(want)
+        assert seen == {"plus", "minus", "not_stabilized"}
+
+    def test_tolerance_matches_reference(self):
+        rng = np.random.default_rng(53)
+        n = 6
+        prog = random_program(rng, n, 40)
+        psi = OperatorWavefunction.new_all_x(n)
+        psi.apply_program(prog)
+        tab = SuperStabilizerTableau.new_all_x(n)
+        tab.apply_program(prog)
+        seen = set()
+        for scale in (1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3):
+            noise = scale * rng.normal(size=1 << n)
+            noisy = OperatorWavefunction(n, psi.amplitudes + noise)
+            for sp in tab.stabilizers:
+                want = check_stabilized_reference(noisy, sp)
+                assert noisy.check_stabilized(sp) == want, scale
+                seen.add(want)
+        assert seen == {"plus", "minus", "not_stabilized"}
 
 
 class TestVerifyGateTables:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from super_scrambler.gf2 import gf2_rank
 from super_scrambler.model import C3, OperatorProgram, SuperPauli, Swap, T
 from super_scrambler.tableau import (
     Region,
@@ -218,6 +219,27 @@ class TestEntropy:
             )
             region = Region(sites)
             assert tab.entropy(region) == tab.entropy(region.complement(n))
+
+    def test_both_sides_ranked_from_raw_columns(self):
+        # entropy ranks only the smaller side, so S(A) = S(A-bar) is checked
+        # here with gf2_rank on each side's own 2|A| columns
+        def rank_entropy(tab, sites):
+            cols = [tab.x[s - 1] for s in sites] + [tab.z[s - 1] for s in sites]
+            return gf2_rank(cols) - len(sites)
+
+        rng = np.random.default_rng(43)
+        for n in (7, 16, 65, 120):
+            tab = random_evolved(rng, n, 8 * n)
+            regions = [range(1, p + 1) for p in range(n + 1)]
+            for _ in range(20):
+                size = int(rng.integers(1, n))
+                regions.append(rng.choice(np.arange(1, n + 1), size=size, replace=False))
+            for sites in regions:
+                sites = {int(s) for s in sites}
+                comp = set(range(1, n + 1)) - sites
+                s = rank_entropy(tab, sites)
+                assert s == rank_entropy(tab, comp), (n, sorted(sites))
+                assert tab.entropy(Region(sites)) == s, (n, sorted(sites))
 
     def test_bounds(self):
         rng = np.random.default_rng(23)
