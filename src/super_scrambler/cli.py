@@ -168,13 +168,13 @@ def random_config(args: argparse.Namespace) -> Tuple[ExperimentConfig, List[str]
 
 
 def max_workers() -> int:
-    cap = os.environ.get("SUPER_SCRAMBLER_THREADS")
-    if cap is None:
-        return 1
     try:
-        return max(1, int(cap))
+        workers = int(os.environ.get("SUPER_SCRAMBLER_THREADS", "1"))
     except ValueError:
-        raise UsageError("SUPER_SCRAMBLER_THREADS must be an integer")
+        workers = 0
+    if workers < 1:
+        raise UsageError("SUPER_SCRAMBLER_THREADS must be a positive integer")
+    return workers
 
 
 def replace_if_reproduced(

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -125,7 +124,8 @@ def circuit_stream(
     span, when (u * span) mod 2**32 < (2**32 - span) mod span (Lemire's
     method); a span of 1 draws no word.  This does the same on blocks of raw
     64-bit words, so `rng` runs ahead of the yielded steps: draw nothing
-    else from it while the stream is in use.
+    else from it while the stream is in use.  Once it is exhausted, `rng` is
+    where `steps` successive `random_step` calls would leave it.
     """
     if n_qubits < 3:
         raise ExperimentError("random step needs at least 3 qubits")
@@ -172,6 +172,9 @@ def circuit_stream(
             (base + (slot == 0)).tolist(),
             (base + 2 - (slot == 2)).tolist(),
         )
+    # hand the leftover half word (at most one) to numpy's own buffer
+    left = int(words[0]) if len(words) else 0
+    bitgen.state = {**bitgen.state, "has_uint32": len(words), "uinteger": left}
 
 
 def _run_realization(
@@ -198,7 +201,8 @@ def run_random_ensemble(
     """Evolve `realizations` independent states and aggregate entropies.
 
     Realization r uses the r-th child of SeedSequence(rng_seed), so results
-    are reproducible and independent of worker count.  `simulator` is the
+    are reproducible and independent of the worker count: min(max_workers,
+    realizations) processes, or this one if that is 1.  `simulator` is the
     class evolved: any with `new_all_x`, `apply_t`, `apply_c3` and
     `entropy(region)`, such as the dense `OperatorWavefunction` that
     `--oracle-check` runs the same circuits on.
@@ -215,8 +219,9 @@ def run_random_ensemble(
         )
         for child in children
     ]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    workers = min(max_workers, config.realizations)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_run_realization, jobs))
     else:
         columns = [_run_realization(j) for j in jobs]

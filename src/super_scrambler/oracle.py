@@ -64,7 +64,8 @@ class OperatorWavefunction:
 
     def apply_t(self, site: int) -> None:
         """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`."""
-        self._check_site(site)
+        if not 1 <= site <= self.n_qubits:
+            self._check_site(site)
         halves = self.amplitudes.reshape(-1, 2, 1 << (site - 1))
         a0, a1 = halves[:, 0], halves[:, 1]  # site slot X, site slot Y
         new_a0 = a0 + a1
@@ -73,11 +74,12 @@ class OperatorWavefunction:
         np.multiply(new_a0, _INV_SQRT2, out=a0)
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
-        self._check_site(site_a)
-        self._check_site(site_b)
+        n = self.n_qubits
+        if not (1 <= site_a <= n and 1 <= site_b <= n):
+            self._check_site(site_a)
+            self._check_site(site_b)
         if site_a == site_b:
             raise OracleError("swap sites must be distinct")
-        n = self.n_qubits
         psi = self.amplitudes.reshape((2,) * n)
         # numpy copies an overlapping source before it assigns
         psi[...] = psi.swapaxes(n - site_a, n - site_b)
@@ -89,12 +91,12 @@ class OperatorWavefunction:
         string gets the sign `_C3_SIGN[its target bits]`: -1 if they are
         equal, +1 otherwise.
         """
-        sites = (control, target_1, target_2)
-        for s in sites:
-            self._check_site(s)
-        if len(set(sites)) != 3:
-            raise OracleError("C3 sites must be distinct")
         n = self.n_qubits
+        if not (1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n):
+            for s in (control, target_1, target_2):
+                self._check_site(s)
+        if control == target_1 or control == target_2 or target_1 == target_2:
+            raise OracleError("C3 sites must be distinct")
         on = [slice(None)] * n
         on[n - control] = slice(1, 2)
         sub = self.amplitudes.reshape((2,) * n)[tuple(on)]  # control slot holds Y

@@ -110,14 +110,16 @@ class SuperStabilizerTableau:
 
     def apply_t(self, site: int) -> None:
         """Exchange the x and z exponents at `site` in every stabilizer."""
-        self._check_site(site)
+        if not 1 <= site <= self.n_qubits:
+            self._check_site(site)
         j = site - 1
         self.x[j], self.z[j] = self.z[j], self.x[j]
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
         """Exchange the (x, z) exponent pairs of two sites."""
-        self._check_site(site_a)
-        self._check_site(site_b)
+        if not (1 <= site_a <= self.n_qubits and 1 <= site_b <= self.n_qubits):
+            self._check_site(site_a)
+            self._check_site(site_b)
         if site_a == site_b:
             raise TableauError("swap sites must be distinct")
         a, b = site_a - 1, site_b - 1
@@ -127,10 +129,11 @@ class SuperStabilizerTableau:
 
     def apply_c3(self, control: int, target_1: int, target_2: int) -> None:
         """Controlled-Y-pair update of every stabilizer vector, mod 2."""
-        sites = (control, target_1, target_2)
-        for s in sites:
-            self._check_site(s)
-        if len(set(sites)) != 3:
+        n = self.n_qubits
+        if not (1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n):
+            for s in (control, target_1, target_2):
+                self._check_site(s)
+        if control == target_1 or control == target_2 or target_1 == target_2:
             raise TableauError("C3 sites must be distinct")
         c, t1, t2 = control - 1, target_1 - 1, target_2 - 1
         x, z = self.x, self.z

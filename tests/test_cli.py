@@ -97,6 +97,14 @@ class TestRandom:
         assert run_cli(flags + ["--out", str(out_par)], capsys)[0] == 0
         assert out_serial.read_bytes() == out_par.read_bytes()
 
+    @pytest.mark.parametrize("cap", ["0", "-3", "two"])
+    def test_thread_cap_not_positive_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("SUPER_SCRAMBLER_THREADS", cap)
+        flags = ["random", "--n", "6", "--steps", "5", "--reals", "2", "--seed", "1"]
+        code, _, err = run_cli(flags, capsys)
+        assert code == 2
+        assert "SUPER_SCRAMBLER_THREADS must be a positive integer" in err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 6\nsteps = 20\nreals = 2\nseed = 5\n")

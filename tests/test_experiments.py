@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from super_scrambler import experiments
 from super_scrambler.experiments import (
     EntropySeries,
     ExperimentConfig,
@@ -139,6 +140,26 @@ class TestCircuitStream:
         random_step(b, 12)
         assert list(circuit_stream(a, 12, steps)) == scalar_steps(b, 12, steps)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 120, 2**31 + 1])
+    def test_leaves_generator_where_random_step_would(self, n):
+        lengths = (0, 1, 2, 7, STREAM_BLOCK, STREAM_BLOCK + 1)
+        for seed in range(10):
+            # the scalar reference walks once through every length in turn
+            scalar, done = np.random.default_rng(seed), 0
+            for steps in lengths:
+                scalar_steps(scalar, n, steps - done)
+                done = steps
+                streamed = np.random.default_rng(seed)
+                for _ in circuit_stream(streamed, n, steps):
+                    pass
+                got, want = streamed.bit_generator.state, scalar.bit_generator.state
+                assert got["state"] == want["state"], (seed, steps)
+                assert got["has_uint32"] == want["has_uint32"], (seed, steps)
+                follower = np.random.default_rng()
+                follower.bit_generator.state = want
+                for _ in range(100):
+                    assert streamed.integers(0, 2**32) == follower.integers(0, 2**32)
+
     def test_rejects_unsupported_inputs(self):
         rng = np.random.default_rng(0)
         for n, steps in ((2**32 + 1, 1), (2, 1), (5, -1)):
@@ -149,7 +170,39 @@ class TestCircuitStream:
             next(circuit_stream(mt, 5, 1))
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records `max_workers` and maps in
+    this process, so no worker is ever started."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 class TestRunRandomEnsemble:
+    @pytest.mark.parametrize("realizations, pools", [(2, [2]), (1, [])])
+    def test_never_more_workers_than_realizations(
+        self, monkeypatch, realizations, pools
+    ):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "requested", [])
+        cfg = ExperimentConfig(
+            n_qubits=6, time_steps=20, realizations=realizations, rng_seed=3
+        )
+        series = run_random_ensemble(cfg, max_workers=10**6)
+        assert RecordingPool.requested == pools
+        assert np.array_equal(series.values, run_random_ensemble(cfg).values)
+
     def test_step_zero_entropy_is_zero(self):
         cfg = ExperimentConfig(
             n_qubits=6, time_steps=10, realizations=3, rng_seed=1, sample_every=2

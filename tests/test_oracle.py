@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -416,3 +417,46 @@ class TestVerifyGateTables:
     def test_c3_matrix_is_unitary(self):
         c3 = c3_state_space_matrix()
         assert np.allclose(c3 @ c3.conj().T, np.eye(8), atol=1e-12)
+
+
+def expected_gate_error(sites, n, distinct_message):
+    """The rejection a gate on `sites` must raise, or None: the first site
+    outside 1..n in argument order, then a coincident pair."""
+    for s in sites:
+        if not 1 <= s <= n:
+            return f"site {s} out of range 1..{n}"
+    if len(set(sites)) != len(sites):
+        return distinct_message
+    return None
+
+
+class TestGateContracts:
+    """Every rejection names the same site with the same message as the
+    tableau's, and is raised before any amplitude is touched."""
+
+    N = 4
+    SITES = (-1, 0, 1, 2, 3, 4, 5)  # 0, -1 and n+1 around every valid site
+
+    @pytest.mark.parametrize(
+        "method, arity, distinct_message",
+        [
+            ("apply_t", 1, None),
+            ("apply_swap", 2, "swap sites must be distinct"),
+            ("apply_c3", 3, "C3 sites must be distinct"),
+        ],
+    )
+    def test_rejections_leave_state_unchanged(self, method, arity, distinct_message):
+        rng = np.random.default_rng(6)
+        psi = OperatorWavefunction(self.N, random_amplitudes(rng, self.N, float))
+        before = psi.amplitudes.copy()
+        rejected = 0
+        for sites in itertools.product(self.SITES, repeat=arity):
+            message = expected_gate_error(sites, self.N, distinct_message)
+            if message is None:
+                getattr(psi.copy(), method)(*sites)
+                continue
+            with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
+                getattr(psi, method)(*sites)
+            assert np.array_equal(psi.amplitudes, before), (method, sites)
+            rejected += 1
+        assert rejected == len(self.SITES) ** arity - {1: 4, 2: 12, 3: 24}[arity]

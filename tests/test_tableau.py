@@ -1,6 +1,10 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
+from super_scrambler.experiments import circuit_stream
 from super_scrambler.gf2 import gf2_rank
 from super_scrambler.model import C3, OperatorProgram, SuperPauli, Swap, T
 from super_scrambler.tableau import (
@@ -310,3 +314,94 @@ class TestSerialization:
     def test_non_commuting_set_rejected(self):
         with pytest.raises(TableauError, match="anticommute"):
             SuperStabilizerTableau.loads("XII\nZII\nIIZ\n")
+
+
+def expected_gate_error(sites, n, distinct_message):
+    """The rejection a gate on `sites` must raise, or None: the first site
+    outside 1..n in argument order, then a coincident pair."""
+    for s in sites:
+        if not 1 <= s <= n:
+            return f"site {s} out of range 1..{n}"
+    if len(set(sites)) != len(sites):
+        return distinct_message
+    return None
+
+
+class TestGateContracts:
+    """Every rejection names the same site with the same message, and is
+    raised before any column is touched."""
+
+    N = 4
+    SITES = (-1, 0, 1, 2, 3, 4, 5)  # 0, -1 and n+1 around every valid site
+
+    @pytest.mark.parametrize(
+        "method, arity, distinct_message",
+        [
+            ("apply_t", 1, None),
+            ("apply_swap", 2, "swap sites must be distinct"),
+            ("apply_c3", 3, "C3 sites must be distinct"),
+        ],
+    )
+    def test_rejections_leave_state_unchanged(self, method, arity, distinct_message):
+        tab = random_evolved(np.random.default_rng(4), self.N)
+        before = tab.dumps()
+        rejected = 0
+        for sites in itertools.product(self.SITES, repeat=arity):
+            message = expected_gate_error(sites, self.N, distinct_message)
+            if message is None:
+                getattr(tab.copy(), method)(*sites)
+                continue
+            with pytest.raises(TableauError, match=f"^{re.escape(message)}$"):
+                getattr(tab, method)(*sites)
+            assert tab.dumps() == before, (method, sites)
+            rejected += 1
+        assert rejected == len(self.SITES) ** arity - {1: 4, 2: 12, 3: 24}[arity]
+
+
+class DroppedXorTableau(SuperStabilizerTableau):
+    """`apply_c3` with its `dropped`-th XOR update left out."""
+
+    dropped = None
+
+    def apply_c3(self, control, target_1, target_2):
+        c, t1, t2 = control - 1, target_1 - 1, target_2 - 1
+        x, z = self.x, self.z
+        v = x[c]
+        updates = [
+            (z, c, x[t1] ^ z[t1] ^ x[t2] ^ z[t2]),
+            (x, t1, v),
+            (z, t1, v),
+            (x, t2, v),
+            (z, t2, v),
+        ]
+        for k, (plane, j, delta) in enumerate(updates):
+            if k != self.dropped:
+                plane[j] ^= delta
+
+
+def random_t_c3_program(seed, n, steps):
+    gates = []
+    for t_site, control, target_1, target_2 in circuit_stream(
+        np.random.default_rng(seed), n, steps
+    ):
+        gates += [T(t_site), C3(control, target_1, target_2)]
+    return OperatorProgram(n, tuple(gates))
+
+
+class TestGateCheckCatchesMutants:
+    PROGRAM = random_t_c3_program(17, 6, 40)
+
+    def test_real_class_passes(self):
+        real = SuperStabilizerTableau.new_all_x(6)
+        real.apply_program(self.PROGRAM, check="gate")
+        # with nothing dropped, the mutant's update is the real one
+        unmutated = DroppedXorTableau.new_all_x(6)
+        unmutated.apply_program(self.PROGRAM, check="gate")
+        assert unmutated.dumps() == real.dumps()
+
+    @pytest.mark.parametrize("dropped", range(5))
+    def test_dropped_xor_is_caught(self, dropped):
+        mutant = DroppedXorTableau.new_all_x(6)
+        mutant.dropped = dropped
+        with pytest.raises(TableauError, match="anticommute"):
+            mutant.apply_program(self.PROGRAM, check="gate")
