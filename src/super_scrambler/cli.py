@@ -197,6 +197,13 @@ def replace_if_reproduced(
     return None
 
 
+def check_cuts(cuts: List[int], n_qubits: int) -> None:
+    """Reject the first prefix cut outside 0..n_qubits, before any output."""
+    for p in cuts:
+        if not 0 <= p <= n_qubits:
+            raise UsageError(f"cut {p} out of range 0..{n_qubits}")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -221,15 +228,13 @@ def cmd_ghz(args: argparse.Namespace) -> int:
         raise UsageError("--n is required")
     if n % 3 != 0 or n < 3:
         raise UsageError("--n must be a positive multiple of 3")
-    k = n // 3
+    cuts = args.cut if args.cut else [n // 3]
+    check_cuts(cuts, n)
     program = build_ghz_program(n, localized=args.localized)
     tableau = SuperStabilizerTableau.new_all_x(n)
     tableau.apply_program(program)
-    cuts = args.cut if args.cut else [k]
     print(f"gates: {len(program)}")
     for p in cuts:
-        if not 0 <= p <= n:
-            raise UsageError(f"cut {p} out of range 0..{n}")
         print(f"entropy(prefix({p})): {tableau.entropy(Region.prefix(p))}")
     if args.dump_stabilizers:
         sys.stdout.write(tableau.dumps())
@@ -308,13 +313,12 @@ def cmd_run_program(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     program = parse_program(text)
+    cuts = args.entropy_cuts or []
+    check_cuts(cuts, program.n_qubits)
     tableau = SuperStabilizerTableau.new_all_x(program.n_qubits)
     tableau.apply_program(program)
-    if args.entropy_cuts:
-        for p in args.entropy_cuts:
-            if not 0 <= p <= program.n_qubits:
-                raise UsageError(f"cut {p} out of range 0..{program.n_qubits}")
-            print(f"entropy(prefix({p})): {tableau.entropy(Region.prefix(p))}")
+    for p in cuts:
+        print(f"entropy(prefix({p})): {tableau.entropy(Region.prefix(p))}")
     if args.dump_stabilizers:
         sys.stdout.write(tableau.dumps())
     if args.manifest:

@@ -31,6 +31,10 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
+        for key in ("n_qubits", "time_steps", "realizations", "rng_seed", "sample_every"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ExperimentError(f"{key} must be an integer, got {value!r}")
         if self.n_qubits < 3:
             raise ExperimentError("random runs need at least 3 qubits")
         if self.time_steps < 0 or self.realizations < 1 or self.sample_every < 1:

@@ -8,7 +8,7 @@ bit i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 
 class ProgramError(ValueError):
@@ -100,6 +100,22 @@ def gate_sites(gate: SuperGate) -> Tuple[int, ...]:
 
 
 def validate_gate(gate: SuperGate, n_qubits: int) -> None:
+    # Chained comparisons return for a valid gate; any other gate falls
+    # through to the loop below, which words the first failure.
+    if isinstance(gate, T):
+        if 1 <= gate.site <= n_qubits:
+            return
+    elif isinstance(gate, Swap):
+        a, b = gate.site_a, gate.site_b
+        if 1 <= a <= n_qubits and 1 <= b <= n_qubits and a != b:
+            return
+    elif isinstance(gate, C3):
+        c, t1, t2 = gate.control, gate.target_1, gate.target_2
+        if (
+            1 <= c <= n_qubits and 1 <= t1 <= n_qubits and 1 <= t2 <= n_qubits
+            and c != t1 and c != t2 and t1 != t2
+        ):
+            return
     sites = gate_sites(gate)
     for s in sites:
         if not 1 <= s <= n_qubits:
@@ -198,7 +214,14 @@ def parse_program(text: str) -> OperatorProgram:
     state_space = False
     n_qubits = None
     gates: List[SuperGate] = []
+    # raw gate line -> its gate, stored once it has parsed and passed its
+    # check; N is set by then and cannot change, so a repeat is that gate
+    parsed: Dict[str, SuperGate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = parsed.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -225,7 +248,7 @@ def parse_program(text: str) -> OperatorProgram:
         if n_qubits is None:
             raise ProgramError(f"line {lineno}: gate before N header")
         if kind == "T" and len(ints) == 1:
-            gate: SuperGate = T(ints[0])
+            gate = T(ints[0])
         elif kind == "SWAP" and len(ints) == 2:
             gate = Swap(ints[0], ints[1])
         elif kind == "C3" and len(ints) == 3:
@@ -237,6 +260,7 @@ def parse_program(text: str) -> OperatorProgram:
         except ProgramError as e:
             raise ProgramError(f"line {lineno}: {e}")
         gates.append(gate)
+        parsed[raw] = gate
     if n_qubits is None:
         raise ProgramError("missing N header")
     if state_space:

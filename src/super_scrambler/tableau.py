@@ -10,6 +10,7 @@ tracked; they do not affect entanglement.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence
 
@@ -28,7 +29,8 @@ class Region:
     sites: frozenset
 
     def __init__(self, sites: Iterable[int]):
-        object.__setattr__(self, "sites", frozenset(int(s) for s in sites))
+        # operator.index rejects a non-integral site such as 1.5, never truncates
+        object.__setattr__(self, "sites", frozenset(map(operator.index, sites)))
 
     @classmethod
     def prefix(cls, p: int) -> "Region":

@@ -50,6 +50,17 @@ class TestGhz:
         assert code == 0
         assert "XYY" in out and "ZZI" in out and "ZIZ" in out
 
+    def test_bad_cut_prints_nothing(self, capsys):
+        code, out, err = run_cli(["ghz", "--n", "6", "--cut", "2", "--cut", "9"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cut 9 out of range 0..6\n"
+
+    def test_valid_cuts_output(self, capsys):
+        code, out, _ = run_cli(["ghz", "--n", "6", "--cut", "2", "--cut", "6"], capsys)
+        assert code == 0
+        assert out == "gates: 4\nentropy(prefix(2)): 2\nentropy(prefix(6)): 0\n"
+
 
 class TestRandom:
     def test_writes_reproducible_csv(self, tmp_path, capsys):
@@ -186,6 +197,31 @@ class TestRandom:
         assert code == 1
         assert "oracle check passed" not in out
         assert "oracle mismatch: realization 0 step 0: tableau 0.0 oracle 1.0" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_qubits", 12.7), ("time_steps", 20.5), ("realizations", 1.0),
+         ("rng_seed", "7"), ("sample_every", True)],
+    )
+    def test_rerun_from_manifest_non_integer_value(self, key, value, tmp_path, capsys):
+        _, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        record["config"][key] = value
+        manifest.write_text(json.dumps(record))
+        code, out, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {key} must be an integer, got {value!r}\n"
+
+    def test_rerun_from_manifest_non_integral_cut(self, tmp_path, capsys):
+        _, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        record["config"]["cut"] = [1.5, 2]
+        manifest.write_text(json.dumps(record))
+        code, out, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "integer" in err
 
     def _first_run(self, tmp_path, capsys, *extra):
         out = tmp_path / "run.csv"
@@ -333,6 +369,17 @@ class TestRunProgram:
         code, _, err = run_cli(["run-program", str(path)], capsys)
         assert code == 2
         assert "line 2" in err and "repeated" in err
+
+    def test_bad_cut_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "ghz.prog"
+        path.write_text("N 3\nT 1\nC3 1 2 3\n")
+        code, out, err = run_cli(
+            ["run-program", str(path), "--entropy-cuts", "1,5", "--dump-stabilizers"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cut 5 out of range 0..3\n"
 
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(["run-program", "/nonexistent.prog"], capsys)

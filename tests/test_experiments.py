@@ -80,19 +80,18 @@ class TestRandomStep:
             assert 1 <= sites[0] <= 7
 
     def test_draw_frequencies_uniform(self):
-        # chi-squared style check: every count within 5 sigma of uniform
+        # chi-squared style check: every count within 5 sigma of uniform.
+        # The stream's steps equal successive random_step draws bit for bit
+        # (TestCircuitStream), so these are the counts of 10**6 such draws.
         n = 12
         draws = 1_000_000
         rng = np.random.default_rng(123)
-        t_counts = np.zeros(n, dtype=int)
-        control_pos = np.zeros(3, dtype=int)
-        window_counts = np.zeros(n - 2, dtype=int)
-        for _ in range(draws):
-            t_gate, c3 = random_step(rng, n)
-            t_counts[t_gate.site - 1] += 1
-            base = min(c3.control, c3.target_1, c3.target_2)
-            window_counts[base - 1] += 1
-            control_pos[c3.control - base] += 1
+        steps = np.array(list(circuit_stream(rng, n, draws)))
+        t_site, control = steps[:, 0], steps[:, 1]
+        base = steps[:, 1:].min(axis=1)
+        t_counts = np.bincount(t_site - 1, minlength=n)
+        control_pos = np.bincount(control - base, minlength=3)
+        window_counts = np.bincount(base - 1, minlength=n - 2)
         for counts, k in ((t_counts, n), (control_pos, 3), (window_counts, n - 2)):
             expected = draws / k
             sigma = math.sqrt(draws * (1 / k) * (1 - 1 / k))
@@ -202,6 +201,17 @@ class TestRunRandomEnsemble:
         series = run_random_ensemble(cfg, max_workers=10**6)
         assert RecordingPool.requested == pools
         assert np.array_equal(series.values, run_random_ensemble(cfg).values)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_qubits", 12.7), ("time_steps", 20.5), ("realizations", 1.0),
+         ("rng_seed", "7"), ("sample_every", True), ("n_qubits", True)],
+    )
+    def test_int_fields_require_int(self, key, value):
+        settings = dict(n_qubits=6, time_steps=10, realizations=2, rng_seed=3)
+        settings[key] = value
+        with pytest.raises(ExperimentError, match=f"^{key} must be an integer, got"):
+            ExperimentConfig(**settings)
 
     def test_step_zero_entropy_is_zero(self):
         cfg = ExperimentConfig(

@@ -11,6 +11,8 @@ import hashlib
 import pytest
 
 from super_scrambler.cli import main
+from super_scrambler.experiments import build_ghz_program
+from super_scrambler.model import format_program
 
 RANDOM_FIG = "random --n 120 --steps 30000 --reals 2 --seed 7 --sample-every 200 --out fig.csv"
 # a 90-site cut: its entropy is ranked on the 30-site complement
@@ -64,3 +66,21 @@ def test_random_outputs(in_tmp, capsys, command, csv_digest, summary_digest):
 def test_stdout(capsys, command, stdout_digest):
     assert main(command.split()) == 0
     assert sha256(capsys.readouterr().out.encode()) == stdout_digest
+
+
+# The localized N=120 GHZ program: 9,440 gate lines, 198 of them distinct.
+GHZ_PROGRAM_DIGEST = "8fea2b2d78a396c3e6132f0e1d059cc90c5b5e50f8146faa64daa4b66343730c"
+RUN_PROGRAM_DIGEST = "d1aad5efcec1249dc716d2fde35fbbabfdcac40050195f5fdc0c2f1678c86768"
+
+
+def test_localized_ghz_program_text():
+    text = format_program(build_ghz_program(120, localized=True))
+    assert sha256(text.encode()) == GHZ_PROGRAM_DIGEST
+
+
+def test_run_program_stdout(tmp_path, capsys):
+    path = tmp_path / "ghz.prog"
+    path.write_bytes(format_program(build_ghz_program(120, localized=True)).encode())
+    argv = ["run-program", str(path), "--entropy-cuts", "40", "--dump-stabilizers"]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == RUN_PROGRAM_DIGEST

@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from super_scrambler.model import (
     C3,
+    STATE_SPACE_DIRECTIVE,
     OperatorProgram,
     ProgramError,
     SuperPauli,
@@ -188,3 +191,214 @@ class TestProgramText:
             parse_program("N 3\nCNOT 1 2\n")
         with pytest.raises(ProgramError, match="out of range"):
             parse_program("N 3\nT 4\n")
+
+
+# -- references: `gate_sites`, `validate_gate` and `parse_program` as they read
+# before the chained-comparison check and the per-call map of repeated lines
+
+
+def reference_gate_sites(gate):
+    if isinstance(gate, T):
+        return (gate.site,)
+    if isinstance(gate, Swap):
+        return (gate.site_a, gate.site_b)
+    if isinstance(gate, C3):
+        return (gate.control, gate.target_1, gate.target_2)
+    raise TypeError(f"not a super-gate: {gate!r}")
+
+
+def reference_validate_gate(gate, n_qubits):
+    sites = reference_gate_sites(gate)
+    for s in sites:
+        if not 1 <= s <= n_qubits:
+            raise ProgramError(f"site {s} out of range 1..{n_qubits} in {gate!r}")
+    if len(set(sites)) != len(sites):
+        raise ProgramError(f"repeated index in {gate!r}")
+
+
+def reference_parse_program(text):
+    state_space = False
+    n_qubits = None
+    gates = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line == STATE_SPACE_DIRECTIVE:
+            if n_qubits is not None or gates:
+                raise ProgramError(
+                    f"line {lineno}: {STATE_SPACE_DIRECTIVE} must come first"
+                )
+            state_space = True
+            continue
+        fields = line.split()
+        kind, args = fields[0].upper(), fields[1:]
+        try:
+            ints = [int(a) for a in args]
+        except ValueError:
+            raise ProgramError(f"line {lineno}: non-integer argument in {line!r}")
+        if kind == "N":
+            if n_qubits is not None:
+                raise ProgramError(f"line {lineno}: duplicate N header")
+            if len(ints) != 1 or ints[0] < 1:
+                raise ProgramError(f"line {lineno}: bad N header {line!r}")
+            n_qubits = ints[0]
+            continue
+        if n_qubits is None:
+            raise ProgramError(f"line {lineno}: gate before N header")
+        if kind == "T" and len(ints) == 1:
+            gate = T(ints[0])
+        elif kind == "SWAP" and len(ints) == 2:
+            gate = Swap(ints[0], ints[1])
+        elif kind == "C3" and len(ints) == 3:
+            gate = C3(ints[0], ints[1], ints[2])
+        else:
+            raise ProgramError(f"line {lineno}: unrecognized gate line {line!r}")
+        try:
+            reference_validate_gate(gate, n_qubits)
+        except ProgramError as e:
+            raise ProgramError(f"line {lineno}: {e}")
+        gates.append(gate)
+    if n_qubits is None:
+        raise ProgramError("missing N header")
+    if state_space:
+        return reverse_from_state_space(gates, n_qubits)
+    return OperatorProgram(n_qubits, tuple(gates))
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+SITE_VALUES = st.one_of(
+    st.integers(-1, 7), st.sampled_from([True, False, 1.0, 2.5, float("nan")])
+)
+
+
+@st.composite
+def any_gates(draw):
+    """T, SWAP and C3 at any sites, integral or not, and a few non-gates."""
+    kind = draw(st.sampled_from(["T", "SWAP", "C3", "other"]))
+    if kind == "other":
+        return draw(st.sampled_from([None, 3, "T 1", (1, 2)]))
+    cls, arity = {"T": (T, 1), "SWAP": (Swap, 2), "C3": (C3, 3)}[kind]
+    return cls(*draw(st.lists(SITE_VALUES, min_size=arity, max_size=arity)))
+
+
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+KIND_SPELLINGS = {1: ["T", "t"], 2: ["SWAP", "swap", "Swap"], 3: ["C3", "c3"]}
+
+
+@st.composite
+def gate_lines(draw, n):
+    """One line of a program: mostly valid gates in any case and spacing;
+    otherwise a gate line with any kind, arity and arguments (bad sites,
+    repeated indices, non-integers, unknown kinds), a header, a directive,
+    a comment or a blank."""
+    shape = draw(st.sampled_from(
+        ["valid"] * 10 + ["any sites"] * 3 + ["wild"] * 2
+        + ["header", "directive", "comment", "blank"]
+    ))
+    if shape == "header":
+        return draw(st.sampled_from([f"N {n}", f"n {n}", "N 0", "N", f"N {n} 1", "N x"]))
+    if shape == "directive":
+        return draw(st.sampled_from([STATE_SPACE_DIRECTIVE, f"  {STATE_SPACE_DIRECTIVE} # c"]))
+    if shape == "comment":
+        return draw(st.sampled_from(["# T 1", "   # note", "#"]))
+    if shape == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if shape == "valid":
+        arity = draw(st.integers(1, min(n, 3)))
+        kind = draw(st.sampled_from(KIND_SPELLINGS[arity]))
+        args = [str(s) for s in draw(st.permutations(range(1, n + 1)))[:arity]]
+    elif shape == "any sites":  # out of range or repeated, now and then
+        arity = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(KIND_SPELLINGS[arity]))
+        args = [str(s) for s in draw(st.lists(st.integers(-1, n + 1), min_size=arity, max_size=arity))]
+    else:
+        arity = draw(st.integers(0, 4))
+        kind = draw(st.sampled_from(KIND_SPELLINGS.get(arity, []) + ["C3", "CNOT", "X"]))
+        args = draw(st.lists(
+            st.integers(-1, n + 1).map(str) | st.sampled_from(["x", "1.5", "+2", " 0x1"]),
+            min_size=arity, max_size=arity,
+        ))
+    line = draw(SEPARATORS).join([kind, *args])
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    return lead + line + draw(st.sampled_from(["", " ", "  # c"]))
+
+
+@st.composite
+def program_texts(draw):
+    """A text drawn from a few distinct lines, each used any number of times,
+    usually after an optional directive and an N header."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(gate_lines(n), min_size=1, max_size=8))
+    body = draw(st.lists(st.sampled_from(pool), max_size=12)) * draw(st.integers(1, 4))
+    head = draw(st.sampled_from(
+        [[], [f"N {n}"], [f"N {n}"], [f"N {n}"], [STATE_SPACE_DIRECTIVE, f"N {n}"]]
+    ))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(head + body) + draw(st.sampled_from(["", ending]))
+
+
+class TestValidateGateMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(gate=any_gates(), n=st.integers(1, 6))
+    def test_same_result_or_error(self, gate, n):
+        assert outcome(validate_gate, gate, n) == outcome(reference_validate_gate, gate, n)
+
+    def test_every_small_gate(self):
+        sites = range(-1, 6)
+        gates = [T(a) for a in sites]
+        gates += [Swap(a, b) for a in sites for b in sites]
+        gates += [C3(a, b, c) for a in sites for b in sites for c in sites]
+        for gate in gates:
+            assert outcome(validate_gate, gate, 4) == outcome(reference_validate_gate, gate, 4)
+
+    def test_non_gate_is_type_error(self):
+        with pytest.raises(TypeError, match="not a super-gate: 3"):
+            validate_gate(3, 4)
+
+
+class TestParseProgramMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(text=program_texts())
+    def test_same_program_or_first_error(self, text):
+        assert outcome(parse_program, text) == outcome(reference_parse_program, text)
+
+    def test_first_error_in_line_order(self):
+        # an out-of-range site on line 2 wins over a syntax error on line 5
+        text = "N 3\nT 9\nT 1\nT 1\nT x\n"
+        with pytest.raises(ProgramError) as e:
+            parse_program(text)
+        assert str(e.value) == "line 2: site 9 out of range 1..3 in T(site=9)"
+
+    def test_repeated_lines_keep_their_order(self):
+        text = "N 4\nSWAP 1 2\nT 3\nSWAP 1 2\n  T 3 # again\nSWAP 1 2\n"
+        assert parse_program(text).gates == (Swap(1, 2), T(3), Swap(1, 2), T(3), Swap(1, 2))
+
+    def test_bad_line_after_repeats_reports_its_line(self):
+        text = "N 3\n" + "SWAP 1 2\n" * 5 + "SWAP 2 2\n"
+        with pytest.raises(ProgramError, match="^line 7: repeated index in Swap"):
+            parse_program(text)
+
+    def test_repeated_header_and_directive_still_rejected(self):
+        with pytest.raises(ProgramError, match="^line 3: duplicate N header$"):
+            parse_program("N 3\nT 1\nN 3\n")
+        with pytest.raises(ProgramError, match="^line 3: @state-space-order must come first$"):
+            parse_program("@state-space-order\nN 3\n@state-space-order\n")
+
+    def test_nothing_kept_between_calls(self):
+        # a line valid under one header is checked again under the next
+        assert parse_program("N 5\nT 5\nT 5\n").gates == (T(5), T(5))
+        with pytest.raises(ProgramError, match="^line 2: site 5 out of range 1..3"):
+            parse_program("N 3\nT 5\n")
+        for _ in range(2):
+            with pytest.raises(ProgramError, match="^line 2: repeated index"):
+                parse_program("N 3\nC3 1 1 2\n")

@@ -274,6 +274,17 @@ class TestEntropy:
             tab.entropy(Region({4}))
 
 
+class TestRegion:
+    def test_integral_sites_kept(self):
+        assert Region([3, np.int64(1), True]).sites == frozenset({1, 3})
+        assert list(Region.prefix(3).complement(5)) == [4, 5]
+
+    @pytest.mark.parametrize("sites", [[1.5, 2], [2.0], ["3"], [None]])
+    def test_non_integral_site_rejected(self, sites):
+        with pytest.raises(TypeError):
+            Region(sites)
+
+
 class TestInvariants:
     def test_hold_after_random_evolution(self):
         rng = np.random.default_rng(31)
