@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .model import (
     C3,
     OperatorProgram,
@@ -15,25 +17,35 @@ from .model import (
     reverse_from_state_space,
 )
 from .tableau import Region, SuperStabilizerTableau, TableauError
-from .oracle import (
-    GateTableReport,
-    OperatorWavefunction,
-    OracleError,
-    verify_gate_tables,
-)
-from .experiments import (
-    EntropySeries,
-    ExperimentConfig,
-    ExperimentError,
-    build_ghz_program,
-    circuit_stream,
-    estimate_saturation_time,
-    fit_growth_rate,
-    page_value,
-    random_step,
-    run_random_ensemble,
-)
 from .gf2 import gf2_rank
+
+# The numpy-backed names, imported from their submodule on first access
+# (PEP 562), so that the pure-Python core above loads without numpy.
+_LAZY = {
+    "GateTableReport": "oracle",
+    "OperatorWavefunction": "oracle",
+    "OracleError": "oracle",
+    "verify_gate_tables": "oracle",
+    "EntropySeries": "experiments",
+    "ExperimentConfig": "experiments",
+    "ExperimentError": "experiments",
+    "build_ghz_program": "experiments",
+    "circuit_stream": "experiments",
+    "estimate_saturation_time": "experiments",
+    "fit_growth_rate": "experiments",
+    "page_value": "experiments",
+    "random_step": "experiments",
+    "run_random_ensemble": "experiments",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "C3",

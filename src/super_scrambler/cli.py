@@ -156,6 +156,8 @@ def random_config(args: argparse.Namespace) -> Tuple[ExperimentConfig, List[str]
         if RANDOM_KEYS[key][0] not in settings:
             raise UsageError(f"--{key} is required")
     cut = settings.get("cut")
+    if isinstance(cut, bool):
+        raise UsageError(f"cut must be a site count or a site list, got {cut!r}")
     try:
         if isinstance(cut, int):
             settings["cut"] = Region.prefix(cut)

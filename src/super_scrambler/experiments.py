@@ -39,6 +39,10 @@ class ExperimentConfig:
             raise ExperimentError("random runs need at least 3 qubits")
         if self.time_steps < 0 or self.realizations < 1 or self.sample_every < 1:
             raise ExperimentError("bad time_steps/realizations/sample_every")
+        if self.rng_seed < 0:
+            raise ExperimentError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ExperimentError(f"output must be a path string, got {self.output!r}")
         if self.cut is None:
             self.cut = Region.prefix(self.n_qubits // 2)
         self.cut.validate(self.n_qubits)

@@ -13,6 +13,10 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def no_ensemble(*args, **kwargs):
+    raise AssertionError("ensemble ran before the precondition check")
+
+
 class TestVerify:
     def test_all_identities_pass(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)
@@ -159,9 +163,6 @@ class TestRandom:
         assert not out.exists()
 
     def test_oracle_check_n_limit_before_ensemble(self, capsys, monkeypatch):
-        def no_ensemble(*args, **kwargs):
-            raise AssertionError("ensemble ran before the precondition check")
-
         monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
         code, _, err = run_cli(
             ["random", "--n", "60", "--steps", "10", "--reals", "4",
@@ -170,6 +171,16 @@ class TestRandom:
         )
         assert code == 2
         assert "n <= 16" in err
+
+    def test_negative_seed_before_ensemble(self, capsys, monkeypatch):
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, out, err = run_cli(
+            ["random", "--n", "6", "--steps", "5", "--reals", "1", "--seed", "-1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: rng_seed must be non-negative, got -1\n"
 
     def test_oracle_check_empty_cut_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -222,6 +233,28 @@ class TestRandom:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "integer" in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("rng_seed", -1, "rng_seed must be non-negative, got -1"),
+         ("cut", True, "cut must be a site count or a site list, got True"),
+         ("cut", False, "cut must be a site count or a site list, got False"),
+         ("output", 5, "output must be a path string, got 5"),
+         ("output", ["a.csv"], "output must be a path string, got ['a.csv']")],
+        ids=["negative-seed", "cut-true", "cut-false", "output-int", "output-list"],
+    )
+    def test_rerun_from_manifest_bad_value_before_ensemble(
+        self, key, value, message, tmp_path, capsys, monkeypatch
+    ):
+        _, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        record["config"][key] = value
+        manifest.write_text(json.dumps(record))
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, out, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def _first_run(self, tmp_path, capsys, *extra):
         out = tmp_path / "run.csv"
