@@ -124,8 +124,8 @@ def random_config(args: argparse.Namespace) -> Tuple[ExperimentConfig, List[str]
     Each key is taken from the first source that gives it: the flags, the
     `--from-manifest` config, the `--config` file.  An int cut p is the
     prefix 1..p; a manifest's site list is used as recorded.  The digests are
-    the manifest's, in output order, when no other source changes its
-    settings; otherwise there are none.
+    the manifest's, one per output in output order, when no other source
+    changes its settings; otherwise there are none.
     """
     sources = [{key: getattr(args, key) for key in RANDOM_KEYS}]
     saved, digests = {}, []
@@ -162,11 +162,18 @@ def random_config(args: argparse.Namespace) -> Tuple[ExperimentConfig, List[str]
         if isinstance(cut, int):
             settings["cut"] = Region.prefix(cut)
         elif cut is not None:
+            if any(isinstance(site, bool) for site in cut):
+                raise UsageError(f"cut sites must be integers, got {cut!r}")
             settings["cut"] = Region(cut)
         config = ExperimentConfig(**settings)
     except (TypeError, ValueError) as e:
         raise UsageError(str(e))
-    return config, digests if config.to_dict() == saved else []
+    if config.to_dict() != saved:
+        return config, []
+    outputs = 2 if config.output else 0  # the CSV and its summary
+    if digests and len(digests) != outputs:
+        raise OSError(f"bad manifest: {len(digests)} output digests for {outputs} outputs")
+    return config, digests
 
 
 def max_workers() -> int:

@@ -114,10 +114,9 @@ def random_step(rng: np.random.Generator, n_qubits: int) -> List[SuperGate]:
     return [T(t_site), C3(control, window[0], window[1])]
 
 
-# Time steps per block of raw words in `circuit_stream`: enough to amortize
-# numpy's per-call cost, few enough to keep the buffers a few kB.
+# Time steps per `Generator.integers` call in `circuit_stream`: enough to
+# amortize numpy's per-call cost, few enough to keep each block a few kB.
 STREAM_BLOCK = 2048
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def circuit_stream(
@@ -126,63 +125,28 @@ def circuit_stream(
     """Yield `(t_site, control, target_1, target_2)` for `steps` time steps,
     equal to the gates of `steps` successive `random_step(rng, n_qubits)`.
 
-    `Generator.integers(lo, hi)` with span = hi - lo <= 2**32 maps one
-    32-bit word u (the low half of each 64-bit output first) to
-    lo + (u * span >> 32) and rejects u, drawing the next word for the same
-    span, when (u * span) mod 2**32 < (2**32 - span) mod span (Lemire's
-    method); a span of 1 draws no word.  This does the same on blocks of raw
-    64-bit words, so `rng` runs ahead of the yielded steps: draw nothing
-    else from it while the stream is in use.  Once it is exhausted, `rng` is
-    where `steps` successive `random_step` calls would leave it.
+    Each block of `STREAM_BLOCK` steps is one `rng.integers` call with array
+    bounds, which numpy draws element by element, in C order, with the same
+    bounded-integer routine as the three scalar calls of `random_step`.  So
+    `rng` runs up to one block ahead of the yielded steps: draw nothing else
+    from it while the stream is in use.  Once it is exhausted, `rng` is where
+    `steps` successive `random_step` calls would leave it.
     """
     if n_qubits < 3:
         raise ExperimentError("random step needs at least 3 qubits")
-    if n_qubits > 2**32:
-        raise ExperimentError("circuit_stream needs n_qubits <= 2**32")
     if steps < 0:
         raise ExperimentError("steps must be non-negative")
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if "has_uint32" not in state:
-        raise ExperimentError(
-            f"circuit_stream needs a 64-bit bit generator, got {state['bit_generator']}"
-        )
     # per step: T site in 1..N, window start in 1..N-2, control slot in 0..2
-    lows, step_spans = np.array([1, 1, 0]), (n_qubits, n_qubits - 2, 3)
-    active = [i for i, span in enumerate(step_spans) if span > 1]
-    spans = np.tile(np.array([step_spans[i] for i in active], np.uint64), STREAM_BLOCK)
-    limits = (np.uint64(2**32) - spans) % spans
-    # unused 32-bit words, in draw order; a half word numpy holds comes first
-    words = np.array([state["uinteger"]] if state["has_uint32"] else [], np.uint64)
+    lows, highs = [1, 1, 0], [n_qubits + 1, n_qubits - 1, 3]
     for start in range(0, steps, STREAM_BLOCK):
-        k = min(STREAM_BLOCK, steps - start) * len(active)
-        draws = np.empty(k, dtype=np.uint64)
-        done = 0
-        while done < k:
-            need = k - done
-            if len(words) < need:
-                raw = bitgen.random_raw((need - len(words) + 1) // 2)
-                halves = np.stack([raw & _LOW32, raw >> np.uint64(32)], axis=1)
-                words = np.concatenate([words, halves.ravel()])
-            m = words[:need] * spans[done:k]
-            rejected = (m & _LOW32) < limits[done:k]
-            ok = int(rejected.argmax()) if rejected.any() else need
-            draws[done : done + ok] = m[:ok] >> np.uint64(32)
-            done += ok
-            # a rejected word is dropped; its draw is retried on the next word
-            words = words[ok + (ok < need) :]
-        grid = np.zeros((k // len(active), 3), dtype=np.int64)
-        grid[:, active] = draws.reshape(-1, len(active))
-        t_site, base, slot = (grid + lows).T
+        k = min(STREAM_BLOCK, steps - start)
+        t_site, base, slot = rng.integers(lows, highs, size=(k, 3)).T
         yield from zip(
             t_site.tolist(),
             (base + slot).tolist(),
             (base + (slot == 0)).tolist(),
             (base + 2 - (slot == 2)).tolist(),
         )
-    # hand the leftover half word (at most one) to numpy's own buffer
-    left = int(words[0]) if len(words) else 0
-    bitgen.state = {**bitgen.state, "has_uint32": len(words), "uinteger": left}
 
 
 def _run_realization(

@@ -9,6 +9,7 @@ Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
@@ -122,7 +123,7 @@ class OperatorWavefunction:
 
     def entropy(self, region: Iterable[int]) -> float:
         """Von Neumann entropy (base 2) across the bipartition `region`."""
-        sites = sorted(set(int(s) for s in region))
+        sites = sorted(set(map(operator.index, region)))
         n = self.n_qubits
         if not sites or len(sites) >= n:
             raise OracleError("region must be a nonempty proper subset")
@@ -201,25 +202,13 @@ def _pauli_string(label: str) -> np.ndarray:
 def _embed(mat: np.ndarray, qubits: List[int], n: int) -> np.ndarray:
     """Embed a k-qubit matrix acting on `qubits` (1-based, qubit 1 = most
     significant slot) into an n-qubit matrix."""
-    k = len(qubits)
-    full = np.zeros((1 << n, 1 << n), dtype=complex)
-    for col in range(1 << n):
-        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
-        sub_in = 0
-        for q in qubits:
-            sub_in = (sub_in << 1) | bits[q - 1]
-        for sub_out in range(1 << k):
-            amp = mat[sub_out, sub_in]
-            if amp == 0:
-                continue
-            nb = list(bits)
-            for j, q in enumerate(qubits):
-                nb[q - 1] = (sub_out >> (k - 1 - j)) & 1
-            row = 0
-            for b in nb:
-                row = (row << 1) | b
-            full[row, col] += amp
-    return full
+    full = np.kron(mat, np.eye(1 << (n - len(qubits)), dtype=complex))
+    # as a (2,)*2n tensor, `full` has out bits then in bits, each ordered as
+    # `qubits` followed by the other qubits in increasing order
+    order = list(qubits) + [q for q in range(1, n + 1) if q not in qubits]
+    axes = np.argsort(order)
+    full = full.reshape((2,) * (2 * n)).transpose([*axes, *(axes + n)])
+    return full.reshape(1 << n, 1 << n)
 
 
 def c3_state_space_matrix() -> np.ndarray:

@@ -240,8 +240,10 @@ class TestRandom:
          ("cut", True, "cut must be a site count or a site list, got True"),
          ("cut", False, "cut must be a site count or a site list, got False"),
          ("output", 5, "output must be a path string, got 5"),
-         ("output", ["a.csv"], "output must be a path string, got ['a.csv']")],
-        ids=["negative-seed", "cut-true", "cut-false", "output-int", "output-list"],
+         ("output", ["a.csv"], "output must be a path string, got ['a.csv']"),
+         ("cut", [True, 2], "cut sites must be integers, got [True, 2]")],
+        ids=["negative-seed", "cut-true", "cut-false", "output-int", "output-list",
+             "cut-bool-site"],
     )
     def test_rerun_from_manifest_bad_value_before_ensemble(
         self, key, value, message, tmp_path, capsys, monkeypatch
@@ -302,6 +304,19 @@ class TestRandom:
         assert code == 1
         assert err.startswith(f"error: {summary_path} does not match its digest")
         assert json.loads(manifest.read_text()) == record
+
+    def test_rerun_from_manifest_needs_a_digest_per_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        record["outputs"] = {str(out): record["outputs"][str(out)]}
+        manifest.write_text(json.dumps(record))
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, out_text, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 3
+        assert out_text == ""
+        assert err == "error: bad manifest: 1 output digests for 2 outputs\n"
 
     def test_digest_mismatch_leaves_recorded_outputs(self, tmp_path, capsys):
         out, manifest = self._first_run(tmp_path, capsys)

@@ -151,9 +151,8 @@ class TestCircuitStream:
                 streamed = np.random.default_rng(seed)
                 for _ in circuit_stream(streamed, n, steps):
                     pass
-                got, want = streamed.bit_generator.state, scalar.bit_generator.state
-                assert got["state"] == want["state"], (seed, steps)
-                assert got["has_uint32"] == want["has_uint32"], (seed, steps)
+                want = scalar.bit_generator.state
+                assert streamed.bit_generator.state == want, (seed, steps)
                 follower = np.random.default_rng()
                 follower.bit_generator.state = want
                 for _ in range(100):
@@ -161,12 +160,29 @@ class TestCircuitStream:
 
     def test_rejects_unsupported_inputs(self):
         rng = np.random.default_rng(0)
-        for n, steps in ((2**32 + 1, 1), (2, 1), (5, -1)):
+        for n, steps in ((2, 1), (5, -1)):
             with pytest.raises(ExperimentError):
                 next(circuit_stream(rng, n, steps))
-        mt = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(ExperimentError):
-            next(circuit_stream(mt, 5, 1))
+
+    @pytest.mark.parametrize("n", [2**32 + 1, 2**40 + 3])
+    def test_matches_random_step_beyond_32_bits(self, n):
+        self.assert_matches(n, 6, STREAM_BLOCK + 301)
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_matches_random_step_on_other_bit_generators(self, bit_generator):
+        for n in (3, 12, 2**31 + 1):
+            streamed = np.random.Generator(bit_generator(9))
+            scalar = np.random.Generator(bit_generator(9))
+            steps = STREAM_BLOCK + 301
+            assert list(circuit_stream(streamed, n, steps)) == scalar_steps(
+                scalar, n, steps
+            )
+            # these states hold arrays, which a plain dict == cannot compare
+            np.testing.assert_equal(
+                streamed.bit_generator.state, scalar.bit_generator.state
+            )
 
 
 class RecordingPool:

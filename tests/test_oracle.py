@@ -83,6 +83,42 @@ def check_stabilized_reference(psi, stabilizer):
     return "not_stabilized"
 
 
+def reference_embed(mat, qubits, n):
+    """The bit-loop `_embed`, kept as the reference: each column's bits on
+    `qubits` pick the input of `mat`, each output is written back to them."""
+    k = len(qubits)
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    for col in range(1 << n):
+        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+        sub_in = 0
+        for q in qubits:
+            sub_in = (sub_in << 1) | bits[q - 1]
+        for sub_out in range(1 << k):
+            amp = mat[sub_out, sub_in]
+            if amp == 0:
+                continue
+            nb = list(bits)
+            for j, q in enumerate(qubits):
+                nb[q - 1] = (sub_out >> (k - 1 - j)) & 1
+            row = 0
+            for b in nb:
+                row = (row << 1) | b
+            full[row, col] += amp
+    return full
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_embed_matches_reference_on_every_ordered_subset(n, dtype):
+    rng = np.random.default_rng((4, n))
+    for k in range(n + 1):
+        for qubits in itertools.permutations(range(1, n + 1), k):
+            mat = random_amplitudes(rng, 2 * k, dtype).reshape(1 << k, 1 << k)
+            got = _embed(mat, list(qubits), n)
+            assert got.dtype == complex
+            assert np.array_equal(got, reference_embed(mat, list(qubits), n)), qubits
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 class TestHeisenbergReference:
     """Each gate against explicit conjugation of the operator it encodes."""
@@ -287,6 +323,11 @@ class TestNormAndEntropy:
             psi.entropy([])
         with pytest.raises(OracleError):
             psi.entropy([1, 2, 3])
+
+    def test_non_integral_sites_rejected(self):
+        psi = OperatorWavefunction.new_all_x(4)
+        with pytest.raises(TypeError):
+            psi.entropy([1.5, 2.9])
 
 
 class TestCheckStabilized:
