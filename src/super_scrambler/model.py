@@ -7,8 +7,9 @@ bit i-1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 
 class ProgramError(ValueError):
@@ -34,14 +35,6 @@ class SuperPauli:
         if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
             raise ValueError("mask out of range for n_qubits")
 
-    def commutes_with(self, other: "SuperPauli") -> bool:
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("dimension mismatch")
-        sym = (self.x_mask & other.z_mask).bit_count() + (
-            self.z_mask & other.x_mask
-        ).bit_count()
-        return sym % 2 == 0
-
     def label(self) -> str:
         """One character per site over {I, X, Z, Y}."""
         n = self.n_qubits
@@ -66,19 +59,16 @@ _X_BIT = str.maketrans("IXZY", "0101")
 _Z_BIT = str.maketrans("IXZY", "0011")
 
 
-@dataclass(frozen=True)
-class T:
+class T(NamedTuple):
     site: int
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(NamedTuple):
     site_a: int
     site_b: int
 
 
-@dataclass(frozen=True)
-class C3:
+class C3(NamedTuple):
     """Doubly-targeted controlled-Y super-gate; symmetric in its targets."""
 
     control: int
@@ -88,40 +78,44 @@ class C3:
 
 SuperGate = Union[T, Swap, C3]
 
-
-def gate_sites(gate: SuperGate) -> Tuple[int, ...]:
-    if isinstance(gate, T):
-        return (gate.site,)
-    if isinstance(gate, Swap):
-        return (gate.site_a, gate.site_b)
-    if isinstance(gate, C3):
-        return (gate.control, gate.target_1, gate.target_2)
-    raise TypeError(f"not a super-gate: {gate!r}")
+# The gate table: each type's name in the program text, and the simulator
+# method that applies it, called with the gate's fields in order.
+GATES = {T: ("T", "apply_t"), Swap: ("SWAP", "apply_swap"), C3: ("C3", "apply_c3")}
 
 
 def validate_gate(gate: SuperGate, n_qubits: int) -> None:
     # Chained comparisons return for a valid gate; any other gate falls
     # through to the loop below, which words the first failure.
-    if isinstance(gate, T):
+    kind = type(gate)
+    if kind is T:
         if 1 <= gate.site <= n_qubits:
             return
-    elif isinstance(gate, Swap):
-        a, b = gate.site_a, gate.site_b
+    elif kind is Swap:
+        a, b = gate
         if 1 <= a <= n_qubits and 1 <= b <= n_qubits and a != b:
             return
-    elif isinstance(gate, C3):
-        c, t1, t2 = gate.control, gate.target_1, gate.target_2
+    elif kind is C3:
+        c, t1, t2 = gate
         if (
             1 <= c <= n_qubits and 1 <= t1 <= n_qubits and 1 <= t2 <= n_qubits
             and c != t1 and c != t2 and t1 != t2
         ):
             return
-    sites = gate_sites(gate)
-    for s in sites:
+    if kind not in GATES:
+        raise TypeError(f"not a super-gate: {gate!r}")
+    for s in gate:
         if not 1 <= s <= n_qubits:
             raise ProgramError(f"site {s} out of range 1..{n_qubits} in {gate!r}")
-    if len(set(sites)) != len(sites):
+    if len(set(gate)) != len(gate):
         raise ProgramError(f"repeated index in {gate!r}")
+
+
+def site_indices(sites: Iterable[int]) -> List[int]:
+    """The sites as ints; a bool or a non-integral site such as 1.5 is a TypeError."""
+    sites = list(sites)
+    if bool in map(type, sites):
+        raise TypeError(f"sites must be integers, got {sites!r}")
+    return list(map(operator.index, sites))
 
 
 @dataclass(frozen=True)
@@ -140,6 +134,30 @@ class OperatorProgram:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+
+class GateSimulator:
+    """The gate dispatch of the tableau and the oracle: a subclass sets
+    `n_qubits` and its `error` class, and defines each method `GATES` names."""
+
+    def _check_site(self, *sites: int) -> None:
+        for site in sites:
+            if not 1 <= site <= self.n_qubits:
+                raise self.error(f"site {site} out of range 1..{self.n_qubits}")
+
+    def apply_gate(self, gate: SuperGate) -> None:
+        entry = GATES.get(type(gate))
+        if entry is None:
+            raise TypeError(f"not a super-gate: {gate!r}")
+        getattr(self, entry[1])(*gate)
+
+    def apply_program(self, program: OperatorProgram) -> None:
+        """Apply the gates in program order (index 0 first)."""
+        if program.n_qubits != self.n_qubits:
+            raise self.error("program/simulator dimension mismatch")
+        method = {kind: getattr(self, name) for kind, (_, name) in GATES.items()}
+        for gate in program.gates:
+            method[type(gate)](*gate)
 
 
 def reverse_from_state_space(
@@ -191,15 +209,17 @@ def localize_c3(c3: C3, n_qubits: int) -> List[SuperGate]:
 STATE_SPACE_DIRECTIVE = "@state-space-order"
 
 
+# from GATES: each type's program line, such as "SWAP %s %s", and each name's type
+_LINE_FORMATS = {
+    kind: " ".join([name] + ["%s"] * len(kind._fields))
+    for kind, (name, _) in GATES.items()
+}
+_GATE_NAMED = {name: kind for kind, (name, _) in GATES.items()}
+
+
 def format_program(program: OperatorProgram) -> str:
     lines = [f"N {program.n_qubits}"]
-    for g in program.gates:
-        if isinstance(g, T):
-            lines.append(f"T {g.site}")
-        elif isinstance(g, Swap):
-            lines.append(f"SWAP {g.site_a} {g.site_b}")
-        else:
-            lines.append(f"C3 {g.control} {g.target_1} {g.target_2}")
+    lines += [_LINE_FORMATS[type(g)] % g for g in program.gates]
     return "\n".join(lines) + "\n"
 
 
@@ -247,14 +267,10 @@ def parse_program(text: str) -> OperatorProgram:
             continue
         if n_qubits is None:
             raise ProgramError(f"line {lineno}: gate before N header")
-        if kind == "T" and len(ints) == 1:
-            gate = T(ints[0])
-        elif kind == "SWAP" and len(ints) == 2:
-            gate = Swap(ints[0], ints[1])
-        elif kind == "C3" and len(ints) == 3:
-            gate = C3(ints[0], ints[1], ints[2])
-        else:
+        gate_type = _GATE_NAMED.get(kind)
+        if gate_type is None or len(ints) != len(gate_type._fields):
             raise ProgramError(f"line {lineno}: unrecognized gate line {line!r}")
+        gate = gate_type(*ints)
         try:
             validate_gate(gate, n_qubits)
         except ProgramError as e:

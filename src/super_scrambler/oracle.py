@@ -9,13 +9,12 @@ Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .model import C3, OperatorProgram, SuperGate, SuperPauli, Swap, T
+from .model import GateSimulator, SuperPauli, site_indices
 
 MAX_ORACLE_QUBITS = 16
 _SQRT2 = np.sqrt(2.0)
@@ -27,7 +26,7 @@ class OracleError(ValueError):
     pass
 
 
-class OperatorWavefunction:
+class OperatorWavefunction(GateSimulator):
     """Dense amplitudes over the X/Y string basis.
 
     Every gate maps X/Y strings to X/Y strings with real coefficients, so
@@ -35,6 +34,8 @@ class OperatorWavefunction:
     are accepted and stay complex.  The gates update the contiguous vector
     in place through reshaped views; axis j of the `(2,)*N` tensor is site N - j.
     """
+
+    error = OracleError
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
         if not 1 <= n_qubits <= MAX_ORACLE_QUBITS:
@@ -59,10 +60,6 @@ class OperatorWavefunction:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def _check_site(self, site: int) -> None:
-        if not 1 <= site <= self.n_qubits:
-            raise OracleError(f"site {site} out of range 1..{self.n_qubits}")
-
     def apply_t(self, site: int) -> None:
         """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`."""
         if not 1 <= site <= self.n_qubits:
@@ -77,8 +74,7 @@ class OperatorWavefunction:
     def apply_swap(self, site_a: int, site_b: int) -> None:
         n = self.n_qubits
         if not (1 <= site_a <= n and 1 <= site_b <= n):
-            self._check_site(site_a)
-            self._check_site(site_b)
+            self._check_site(site_a, site_b)
         if site_a == site_b:
             raise OracleError("swap sites must be distinct")
         psi = self.amplitudes.reshape((2,) * n)
@@ -94,8 +90,7 @@ class OperatorWavefunction:
         """
         n = self.n_qubits
         if not (1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n):
-            for s in (control, target_1, target_2):
-                self._check_site(s)
+            self._check_site(control, target_1, target_2)
         if control == target_1 or control == target_2 or target_1 == target_2:
             raise OracleError("C3 sites must be distinct")
         on = [slice(None)] * n
@@ -105,30 +100,13 @@ class OperatorWavefunction:
         sign = _C3_SIGN.reshape([2 if j in axes else 1 for j in range(n)])
         sub[...] = np.flip(sub, axes) * sign
 
-    def apply_gate(self, gate: SuperGate) -> None:
-        if isinstance(gate, T):
-            self.apply_t(gate.site)
-        elif isinstance(gate, Swap):
-            self.apply_swap(gate.site_a, gate.site_b)
-        elif isinstance(gate, C3):
-            self.apply_c3(gate.control, gate.target_1, gate.target_2)
-        else:
-            raise TypeError(f"not a super-gate: {gate!r}")
-
-    def apply_program(self, program: OperatorProgram) -> None:
-        if program.n_qubits != self.n_qubits:
-            raise OracleError("program/wavefunction dimension mismatch")
-        for gate in program.gates:
-            self.apply_gate(gate)
-
     def entropy(self, region: Iterable[int]) -> float:
         """Von Neumann entropy (base 2) across the bipartition `region`."""
-        sites = sorted(set(map(operator.index, region)))
+        sites = sorted(set(site_indices(region)))
         n = self.n_qubits
         if not sites or len(sites) >= n:
             raise OracleError("region must be a nonempty proper subset")
-        for s in sites:
-            self._check_site(s)
+        self._check_site(*sites)
         # axis j of the reshaped tensor corresponds to site n - j
         axes_a = [n - s for s in sites]
         axes_b = [j for j in range(n) if j not in axes_a]

@@ -10,12 +10,11 @@ tracked; they do not affect entanglement.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence
 
 from .gf2 import gf2_rank
-from .model import C3, OperatorProgram, SuperGate, SuperPauli, Swap, T
+from .model import GateSimulator, SuperPauli, site_indices
 
 
 class TableauError(ValueError):
@@ -29,8 +28,7 @@ class Region:
     sites: frozenset
 
     def __init__(self, sites: Iterable[int]):
-        # operator.index rejects a non-integral site such as 1.5, never truncates
-        object.__setattr__(self, "sites", frozenset(map(operator.index, sites)))
+        object.__setattr__(self, "sites", frozenset(site_indices(sites)))
 
     @classmethod
     def prefix(cls, p: int) -> "Region":
@@ -62,8 +60,10 @@ def _transpose(rows: Sequence[int], n: int) -> List[int]:
     return [int(bits[k::n], 2) for k in range(n - 1, -1, -1)]
 
 
-class SuperStabilizerTableau:
+class SuperStabilizerTableau(GateSimulator):
     """N super-stabilizers evolving under the {T, SWAP, C3} super-gate set."""
+
+    error = TableauError
 
     def __init__(self, n_qubits: int, x: Sequence[int], z: Sequence[int]):
         """`x[j]`, `z[j]`: the exponents at site j+1, bit i for stabilizer i."""
@@ -86,18 +86,6 @@ class SuperStabilizerTableau:
     def copy(self) -> "SuperStabilizerTableau":
         return SuperStabilizerTableau(self.n_qubits, self.x, self.z)
 
-    # -- stabilizer access -------------------------------------------------
-
-    def stabilizer(self, i: int) -> SuperPauli:
-        """The i-th stabilizer (0-based) as a SuperPauli."""
-        if not 0 <= i < self.n_qubits:
-            raise IndexError(f"stabilizer {i} out of range 0..{self.n_qubits - 1}")
-        x_mask = z_mask = 0
-        for j in range(self.n_qubits):
-            x_mask |= ((self.x[j] >> i) & 1) << j
-            z_mask |= ((self.z[j] >> i) & 1) << j
-        return SuperPauli(self.n_qubits, x_mask, z_mask)
-
     @property
     def stabilizers(self) -> List[SuperPauli]:
         n = self.n_qubits
@@ -105,10 +93,6 @@ class SuperStabilizerTableau:
         return [SuperPauli(n, xm, zm) for xm, zm in zip(xs, zs)]
 
     # -- gate updates ------------------------------------------------------
-
-    def _check_site(self, site: int) -> None:
-        if not 1 <= site <= self.n_qubits:
-            raise TableauError(f"site {site} out of range 1..{self.n_qubits}")
 
     def apply_t(self, site: int) -> None:
         """Exchange the x and z exponents at `site` in every stabilizer."""
@@ -120,8 +104,7 @@ class SuperStabilizerTableau:
     def apply_swap(self, site_a: int, site_b: int) -> None:
         """Exchange the (x, z) exponent pairs of two sites."""
         if not (1 <= site_a <= self.n_qubits and 1 <= site_b <= self.n_qubits):
-            self._check_site(site_a)
-            self._check_site(site_b)
+            self._check_site(site_a, site_b)
         if site_a == site_b:
             raise TableauError("swap sites must be distinct")
         a, b = site_a - 1, site_b - 1
@@ -133,8 +116,7 @@ class SuperStabilizerTableau:
         """Controlled-Y-pair update of every stabilizer vector, mod 2."""
         n = self.n_qubits
         if not (1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n):
-            for s in (control, target_1, target_2):
-                self._check_site(s)
+            self._check_site(control, target_1, target_2)
         if control == target_1 or control == target_2 or target_1 == target_2:
             raise TableauError("C3 sites must be distinct")
         c, t1, t2 = control - 1, target_1 - 1, target_2 - 1
@@ -145,32 +127,6 @@ class SuperStabilizerTableau:
         z[t1] ^= v
         x[t2] ^= v
         z[t2] ^= v
-
-    def apply_gate(self, gate: SuperGate) -> None:
-        if isinstance(gate, T):
-            self.apply_t(gate.site)
-        elif isinstance(gate, Swap):
-            self.apply_swap(gate.site_a, gate.site_b)
-        elif isinstance(gate, C3):
-            self.apply_c3(gate.control, gate.target_1, gate.target_2)
-        else:
-            raise TypeError(f"not a super-gate: {gate!r}")
-
-    def apply_program(self, program: OperatorProgram, check: str = "none") -> None:
-        """Apply gates in program order (index 0 first).
-
-        check="gate" validates the tableau invariants after every gate,
-        check="none" skips validation (the release-mode default); any other
-        value is an error.
-        """
-        if check not in ("none", "gate"):
-            raise TableauError(f"check must be 'none' or 'gate', got {check!r}")
-        if program.n_qubits != self.n_qubits:
-            raise TableauError("program/tableau dimension mismatch")
-        for gate in program.gates:
-            self.apply_gate(gate)
-            if check == "gate":
-                self.check_invariants()
 
     # -- entropy -----------------------------------------------------------
 
@@ -186,7 +142,9 @@ class SuperStabilizerTableau:
         """
         n = self.n_qubits
         region.validate(n)
-        sites = region.sites if 2 * len(region) <= n else region.complement(n).sites
+        sites = region.sites
+        if 2 * len(sites) > n:
+            sites = set(range(1, n + 1)) - sites
         cols = [self.x[s - 1] for s in sites] + [self.z[s - 1] for s in sites]
         return gf2_rank(cols) - len(sites)
 

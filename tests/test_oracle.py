@@ -328,6 +328,9 @@ class TestNormAndEntropy:
         psi = OperatorWavefunction.new_all_x(4)
         with pytest.raises(TypeError):
             psi.entropy([1.5, 2.9])
+        for sites in ([True, 2], [False]):  # a bool is not read as site 1 or 0
+            with pytest.raises(TypeError):
+                psi.entropy(sites)
 
 
 class TestCheckStabilized:
@@ -501,3 +504,11 @@ class TestGateContracts:
             assert np.array_equal(psi.amplitudes, before), (method, sites)
             rejected += 1
         assert rejected == len(self.SITES) ** arity - {1: 4, 2: 12, 3: 24}[arity]
+
+    @pytest.mark.parametrize("gate", [None, "T 1", (5,)])
+    def test_non_gate_is_type_error(self, gate):
+        # a plain tuple equals the NamedTuple T(5) but is still no gate
+        psi = OperatorWavefunction.new_all_x(5)
+        with pytest.raises(TypeError, match="not a super-gate"):
+            psi.apply_gate(gate)
+        assert np.array_equal(psi.amplitudes, OperatorWavefunction.new_all_x(5).amplitudes)
