@@ -36,6 +36,8 @@ class OperatorWavefunction(GateSimulator):
     """
 
     error = OracleError
+    # bound in this class's own dict, where perfbench's tracer looks it up
+    apply_gate = GateSimulator.apply_gate
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
         if not 1 <= n_qubits <= MAX_ORACLE_QUBITS:
@@ -56,9 +58,6 @@ class OperatorWavefunction(GateSimulator):
 
     def copy(self) -> "OperatorWavefunction":
         return OperatorWavefunction(self.n_qubits, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def apply_t(self, site: int) -> None:
         """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`."""

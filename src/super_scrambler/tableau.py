@@ -37,7 +37,10 @@ class Region:
         return cls(range(1, p + 1))
 
     def complement(self, n_qubits: int) -> "Region":
-        return Region(set(range(1, n_qubits + 1)) - self.sites)
+        # the sites are ints already, so skip the check in __init__
+        region = object.__new__(Region)
+        object.__setattr__(region, "sites", frozenset(range(1, n_qubits + 1)) - self.sites)
+        return region
 
     def validate(self, n_qubits: int) -> None:
         for s in self.sites:
@@ -64,6 +67,8 @@ class SuperStabilizerTableau(GateSimulator):
     """N super-stabilizers evolving under the {T, SWAP, C3} super-gate set."""
 
     error = TableauError
+    # bound in this class's own dict, where perfbench's tracer looks it up
+    apply_program = GateSimulator.apply_program
 
     def __init__(self, n_qubits: int, x: Sequence[int], z: Sequence[int]):
         """`x[j]`, `z[j]`: the exponents at site j+1, bit i for stabilizer i."""
@@ -142,9 +147,7 @@ class SuperStabilizerTableau(GateSimulator):
         """
         n = self.n_qubits
         region.validate(n)
-        sites = region.sites
-        if 2 * len(sites) > n:
-            sites = set(range(1, n + 1)) - sites
+        sites = region.sites if 2 * len(region) <= n else region.complement(n).sites
         cols = [self.x[s - 1] for s in sites] + [self.z[s - 1] for s in sites]
         return gf2_rank(cols) - len(sites)
 
