@@ -4,6 +4,7 @@ and the growth-rate / saturation-time analyses.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -90,7 +91,7 @@ def build_ghz_program(n_qubits: int, localized: bool = False) -> OperatorProgram
     local C3, giving an O(N^2) total gate count.
     """
     if n_qubits % 3 != 0 or n_qubits < 3:
-        raise ExperimentError("GHZ circuit needs n_qubits divisible by 3")
+        raise ExperimentError("GHZ circuit needs n_qubits a positive multiple of 3")
     k = n_qubits // 3
     gates: List[SuperGate] = [T(j) for j in range(1, k + 1)]
     for j in range(1, k + 1):
@@ -150,9 +151,13 @@ def circuit_stream(
 
 
 def _run_realization(
-    args: Tuple[type, int, int, int, Region, np.random.SeedSequence]
+    simulator: type,
+    n_qubits: int,
+    time_steps: int,
+    sample_every: int,
+    region: Region,
+    seed_seq: np.random.SeedSequence,
 ) -> List[float]:
-    simulator, n_qubits, time_steps, sample_every, region, seed_seq = args
     rng = np.random.default_rng(seed_seq)
     state = simulator.new_all_x(n_qubits)
     out = [state.entropy(region)]
@@ -180,25 +185,21 @@ def run_random_ensemble(
     `--oracle-check` runs the same circuits on.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.realizations)
-    jobs = [
-        (
-            simulator,
-            config.n_qubits,
-            config.time_steps,
-            config.sample_every,
-            config.cut,
-            child,
-        )
-        for child in children
-    ]
+    realization = functools.partial(
+        _run_realization,
+        simulator,
+        config.n_qubits,
+        config.time_steps,
+        config.sample_every,
+        config.cut,
+    )
     workers = min(max_workers, config.realizations)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_run_realization, jobs))
+            columns = list(pool.map(realization, children))
     else:
-        columns = [_run_realization(j) for j in jobs]
-    steps = np.arange(0, config.time_steps + 1)
-    steps = steps[(steps % config.sample_every == 0)]
+        columns = [realization(child) for child in children]
+    steps = np.arange(0, config.time_steps + 1, config.sample_every)
     values = np.array(columns, dtype=float).T  # (n_samples, realizations)
     return EntropySeries(steps=steps, values=values)
 
@@ -227,10 +228,8 @@ def fit_growth_rate(series: EntropySeries) -> float:
     return float(slope)
 
 
-def estimate_saturation_time(
-    series: EntropySeries, threshold_fraction: float = 0.95
-) -> int:
-    """First sampled step where the mean exceeds threshold x plateau.
+def estimate_saturation_time(series: EntropySeries) -> int:
+    """First sampled step where the mean exceeds 0.95 x plateau.
 
     Requires the final 10% of the series to be flat (slope consistent
     with zero within noise), otherwise the plateau is not established.
@@ -245,7 +244,7 @@ def estimate_saturation_time(
     noise = max(0.02 * plateau, 2.0 * float(series.stderr[-tail:].mean()))
     if plateau <= 0 or drift > noise:
         raise ExperimentError("plateau not reached")
-    above = series.mean >= threshold_fraction * plateau
+    above = series.mean >= 0.95 * plateau
     idx = np.argmax(above)
     if not above[idx]:
         raise ExperimentError("mean never exceeds the saturation threshold")

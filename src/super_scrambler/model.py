@@ -111,10 +111,10 @@ def validate_gate(gate: SuperGate, n_qubits: int) -> None:
 
 
 def site_indices(sites: Iterable[int]) -> List[int]:
-    """The sites as ints; a bool or a non-integral site such as 1.5 is a TypeError."""
+    """A cut's sites as ints; a bool or non-integral site such as 1.5 is a TypeError."""
     sites = list(sites)
     if bool in map(type, sites):
-        raise TypeError(f"sites must be integers, got {sites!r}")
+        raise TypeError(f"cut sites must be integers, got {sites!r}")
     return list(map(operator.index, sites))
 
 
@@ -141,9 +141,13 @@ class GateSimulator:
     `n_qubits` and its `error` class, and defines each method `GATES` names."""
 
     def _check_site(self, *sites: int) -> None:
+        """Raise `error` on the first site out of range, then on a repeated site."""
         for site in sites:
             if not 1 <= site <= self.n_qubits:
                 raise self.error(f"site {site} out of range 1..{self.n_qubits}")
+        if len(set(sites)) != len(sites):
+            kind = "swap" if len(sites) == 2 else "C3"
+            raise self.error(f"{kind} sites must be distinct")
 
     def apply_gate(self, gate: SuperGate) -> None:
         entry = GATES.get(type(gate))

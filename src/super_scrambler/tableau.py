@@ -36,12 +36,6 @@ class Region:
             raise ValueError("prefix size must be non-negative")
         return cls(range(1, p + 1))
 
-    def complement(self, n_qubits: int) -> "Region":
-        # the sites are ints already, so skip the check in __init__
-        region = object.__new__(Region)
-        object.__setattr__(region, "sites", frozenset(range(1, n_qubits + 1)) - self.sites)
-        return region
-
     def validate(self, n_qubits: int) -> None:
         for s in self.sites:
             if not 1 <= s <= n_qubits:
@@ -88,9 +82,6 @@ class SuperStabilizerTableau(GateSimulator):
         """Tableau for the unentangled all-X string: stabilizer alpha is Z_alpha."""
         return cls(n_qubits, [0] * n_qubits, [1 << j for j in range(n_qubits)])
 
-    def copy(self) -> "SuperStabilizerTableau":
-        return SuperStabilizerTableau(self.n_qubits, self.x, self.z)
-
     @property
     def stabilizers(self) -> List[SuperPauli]:
         n = self.n_qubits
@@ -108,10 +99,9 @@ class SuperStabilizerTableau(GateSimulator):
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
         """Exchange the (x, z) exponent pairs of two sites."""
-        if not (1 <= site_a <= self.n_qubits and 1 <= site_b <= self.n_qubits):
+        n = self.n_qubits
+        if not (1 <= site_a <= n and 1 <= site_b <= n and site_a != site_b):
             self._check_site(site_a, site_b)
-        if site_a == site_b:
-            raise TableauError("swap sites must be distinct")
         a, b = site_a - 1, site_b - 1
         x, z = self.x, self.z
         x[a], x[b] = x[b], x[a]
@@ -120,10 +110,11 @@ class SuperStabilizerTableau(GateSimulator):
     def apply_c3(self, control: int, target_1: int, target_2: int) -> None:
         """Controlled-Y-pair update of every stabilizer vector, mod 2."""
         n = self.n_qubits
-        if not (1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n):
+        if not (
+            1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n
+            and control != target_1 and control != target_2 and target_1 != target_2
+        ):
             self._check_site(control, target_1, target_2)
-        if control == target_1 or control == target_2 or target_1 == target_2:
-            raise TableauError("C3 sites must be distinct")
         c, t1, t2 = control - 1, target_1 - 1, target_2 - 1
         x, z = self.x, self.z
         v = x[c]
@@ -147,7 +138,9 @@ class SuperStabilizerTableau(GateSimulator):
         """
         n = self.n_qubits
         region.validate(n)
-        sites = region.sites if 2 * len(region) <= n else region.complement(n).sites
+        sites = region.sites
+        if 2 * len(sites) > n:
+            sites = set(range(1, n + 1)) - sites
         cols = [self.x[s - 1] for s in sites] + [self.z[s - 1] for s in sites]
         return gf2_rank(cols) - len(sites)
 

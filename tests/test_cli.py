@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import super_scrambler
 from super_scrambler.cli import main
 
 
@@ -294,6 +297,22 @@ class TestRandom:
         assert code == 2
         assert "0.0.0-other" in err
 
+    def test_rerun_from_manifest_of_another_subcommand(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        manifest = tmp_path / "ghz.json"
+        ghz = ["ghz", "--n", "6", "--cut", "2", "--manifest", str(manifest)]
+        assert run_cli(ghz, capsys)[0] == 0
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, out, err = run_cli(
+            ["random", "--from-manifest", str(manifest),
+             "--n", "6", "--steps", "5", "--reals", "1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {manifest}: written by 'ghz', not 'random'\n"
+
     def test_rerun_from_manifest_digest_mismatch(self, tmp_path, capsys):
         _, manifest = self._first_run(tmp_path, capsys)
         record = json.loads(manifest.read_text())
@@ -430,14 +449,18 @@ class TestRunProgram:
         assert err == "error: cut 5 out of range 0..3\n"
 
     def test_missing_file_is_io_error(self, capsys):
-        code, _, err = run_cli(["run-program", "/nonexistent.prog"], capsys)
+        code, out, err = run_cli(["run-program", "/nonexistent.prog"], capsys)
         assert code == 3
+        assert out == ""
+        assert err == "error: [Errno 2] No such file or directory: '/nonexistent.prog'\n"
 
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        src = Path(super_scrambler.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "super_scrambler.cli", "verify"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
         )

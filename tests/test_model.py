@@ -140,7 +140,7 @@ class TestLocalizeC3:
                         zero = [0] * n
                         x, z = (unit, zero) if plane == "x" else (zero, unit)
                         direct = SuperStabilizerTableau(n, x, z)
-                        routed = direct.copy()
+                        routed = SuperStabilizerTableau(n, x, z)
                         direct.apply_c3(c, t1, t2)
                         for g in seq:
                             routed.apply_gate(g)
