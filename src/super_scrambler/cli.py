@@ -13,7 +13,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .experiments import (
     write_csv,
     write_summary,
 )
-from .model import ProgramError, parse_program
+from .model import OperatorProgram, ProgramError, parse_program
 from .oracle import (
     MAX_ORACLE_QUBITS,
     OperatorWavefunction,
@@ -60,19 +60,20 @@ def _sha256(path: str) -> str:
 
 
 def write_manifest(
-    path: str,
-    subcommand: str,
-    config: dict,
-    seed: Optional[int],
-    started: str,
-    outputs: List[str],
+    args: argparse.Namespace, config: dict, outputs: Sequence[str] = ()
 ) -> None:
+    """Record the run of `args.command` with `config`, its seed if it has one,
+    and a digest per output: at `--manifest`, or else beside the first output;
+    with neither, nowhere."""
+    path = args.manifest or (outputs[0] + ".manifest.json" if outputs else None)
+    if not path:
+        return
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "config": config,
         "version": __version__,
-        "rng_seed": seed,
-        "started": started,
+        "rng_seed": config.get("rng_seed"),
+        "started": args._started,
         "finished": _utcnow(),
         "outputs": {out: _sha256(out) for out in outputs},
     }
@@ -118,8 +119,11 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def random_config(args: argparse.Namespace) -> Tuple[ExperimentConfig, List[str]]:
-    """The `random` settings and the output digests the run must reproduce.
+def random_config(
+    args: argparse.Namespace,
+) -> Tuple[ExperimentConfig, List[str], List[str]]:
+    """The `random` settings, the output paths (the CSV and its summary, or
+    none) and the output digests the run must reproduce.
 
     Each key is taken from the first source that gives it: the flags, the
     `--from-manifest` config, the `--config` file.  An int cut p is the
@@ -169,12 +173,16 @@ def random_config(args: argparse.Namespace) -> Tuple[ExperimentConfig, List[str]
         config = ExperimentConfig(**settings)
     except (TypeError, ValueError) as e:
         raise UsageError(str(e))
+    outputs = []
+    if config.output:
+        outputs = [config.output, os.path.splitext(config.output)[0] + ".summary.json"]
     if config.to_dict() != saved:
-        return config, []
-    outputs = 2 if config.output else 0  # the CSV and its summary
-    if digests and len(digests) != outputs:
-        raise OSError(f"bad manifest: {len(digests)} output digests for {outputs} outputs")
-    return config, digests
+        return config, outputs, []
+    if digests and len(digests) != len(outputs):
+        raise OSError(
+            f"bad manifest: {len(digests)} output digests for {len(outputs)} outputs"
+        )
+    return config, outputs, digests
 
 
 def max_workers() -> int:
@@ -207,11 +215,20 @@ def replace_if_reproduced(
     return None
 
 
-def check_cuts(cuts: List[int], n_qubits: int) -> None:
-    """Reject the first prefix cut outside 0..n_qubits, before any output."""
+def run_tableau(program: OperatorProgram, cuts: List[int], dump: bool) -> str:
+    """Apply `program` to the all-X tableau and return one entropy line per
+    prefix cut, then the stabilizers if `dump`.  A cut outside 0..N is
+    rejected before anything runs."""
+    n = program.n_qubits
     for p in cuts:
-        if not 0 <= p <= n_qubits:
-            raise UsageError(f"cut {p} out of range 0..{n_qubits}")
+        if not 0 <= p <= n:
+            raise UsageError(f"cut {p} out of range 0..{n}")
+    tableau = SuperStabilizerTableau.new_all_x(n)
+    tableau.apply_program(program)
+    text = "".join(
+        f"entropy(prefix({p})): {tableau.entropy(Region.prefix(p))}\n" for p in cuts
+    )
+    return text + tableau.dumps() if dump else text
 
 
 # -- subcommands -------------------------------------------------------------
@@ -227,31 +244,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"[{status}] {check.name}  (max deviation {check.max_deviation:.3e})")
         for note in report.notes:
             print(f"note: {note}")
-    if args.manifest:
-        write_manifest(args.manifest, "verify", {"json": args.json}, None, args._started, [])
+    write_manifest(args, {"json": args.json})
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 
 def cmd_ghz(args: argparse.Namespace) -> int:
-    n = args.n
-    program = build_ghz_program(n, localized=args.localized)
-    cuts = args.cut if args.cut else [n // 3]
-    check_cuts(cuts, n)
-    tableau = SuperStabilizerTableau.new_all_x(n)
-    tableau.apply_program(program)
-    print(f"gates: {len(program)}")
-    for p in cuts:
-        print(f"entropy(prefix({p})): {tableau.entropy(Region.prefix(p))}")
-    if args.dump_stabilizers:
-        sys.stdout.write(tableau.dumps())
-    if args.manifest:
-        config = {"n": n, "localized": args.localized, "cut": cuts}
-        write_manifest(args.manifest, "ghz", config, None, args._started, [])
+    program = build_ghz_program(args.n, localized=args.localized)
+    cuts = args.cut or [args.n // 3]
+    text = run_tableau(program, cuts, args.dump_stabilizers)
+    sys.stdout.write(f"gates: {len(program)}\n{text}")
+    write_manifest(args, {"n": args.n, "localized": args.localized, "cut": cuts})
     return EXIT_OK
 
 
 def cmd_random(args: argparse.Namespace) -> int:
-    config, digests = random_config(args)
+    config, outputs, digests = random_config(args)
     workers = max_workers()
     if args.oracle_check:
         if config.n_qubits > MAX_ORACLE_QUBITS:
@@ -277,17 +284,13 @@ def cmd_random(args: argparse.Namespace) -> int:
         print("oracle check passed")
 
     summary = summarize(config, series)
-    outputs, mismatch = [], None
-    if config.output:
-        summary_path = os.path.splitext(config.output)[0] + ".summary.json"
-        outputs = [config.output, summary_path]
-        if digests:
-            mismatch = replace_if_reproduced(series, summary, outputs, digests)
-        else:
-            write_csv(series, config.output)
-            write_summary(summary, summary_path)
-    plateau = summary["plateau"]
-    print(f"plateau: {plateau:.4f} bits" if plateau is not None else "plateau: n/a")
+    mismatch = None
+    if digests:
+        mismatch = replace_if_reproduced(series, summary, outputs, digests)
+    elif outputs:
+        write_csv(series, outputs[0])
+        write_summary(summary, outputs[1])
+    print(f"plateau: {summary['plateau']:.4f} bits")
     for key in ("growth_rate", "saturation_step", "page_value"):
         print(f"{key}: {summary[key]}")
     if mismatch:
@@ -296,36 +299,16 @@ def cmd_random(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
-    manifest_path = args.manifest or (
-        config.output + ".manifest.json" if config.output else None
-    )
-    if manifest_path:
-        write_manifest(
-            manifest_path,
-            "random",
-            config.to_dict(),
-            config.rng_seed,
-            args._started,
-            outputs,
-        )
+    write_manifest(args, config.to_dict(), outputs)
     return EXIT_OK
 
 
 def cmd_run_program(args: argparse.Namespace) -> int:
     with open(args.file) as f:
-        text = f.read()
-    program = parse_program(text)
+        program = parse_program(f.read())
     cuts = args.entropy_cuts or []
-    check_cuts(cuts, program.n_qubits)
-    tableau = SuperStabilizerTableau.new_all_x(program.n_qubits)
-    tableau.apply_program(program)
-    for p in cuts:
-        print(f"entropy(prefix({p})): {tableau.entropy(Region.prefix(p))}")
-    if args.dump_stabilizers:
-        sys.stdout.write(tableau.dumps())
-    if args.manifest:
-        config = {"file": args.file, "entropy_cuts": args.entropy_cuts}
-        write_manifest(args.manifest, "run-program", config, None, args._started, [])
+    sys.stdout.write(run_tableau(program, cuts, args.dump_stabilizers))
+    write_manifest(args, {"file": args.file, "entropy_cuts": args.entropy_cuts})
     return EXIT_OK
 
 

@@ -4,11 +4,11 @@ and the growth-rate / saturation-time analyses.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +21,7 @@ class ExperimentError(ValueError):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     n_qubits: int
     time_steps: int
@@ -49,18 +49,10 @@ class ExperimentConfig:
         self.cut.validate(self.n_qubits)
 
     def to_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "time_steps": self.time_steps,
-            "realizations": self.realizations,
-            "rng_seed": self.rng_seed,
-            "cut": sorted(self.cut.sites),
-            "sample_every": self.sample_every,
-            "output": self.output,
-        }
+        return {**dataclasses.asdict(self), "cut": sorted(self.cut.sites)}
 
 
-@dataclass
+@dataclasses.dataclass
 class EntropySeries:
     """Sampled entropy per step: one column per realization."""
 
@@ -151,17 +143,13 @@ def circuit_stream(
 
 
 def _run_realization(
-    simulator: type,
-    n_qubits: int,
-    time_steps: int,
-    sample_every: int,
-    region: Region,
-    seed_seq: np.random.SeedSequence,
+    simulator: type, config: ExperimentConfig, seed_seq: np.random.SeedSequence
 ) -> List[float]:
+    region, sample_every = config.cut, config.sample_every
     rng = np.random.default_rng(seed_seq)
-    state = simulator.new_all_x(n_qubits)
+    state = simulator.new_all_x(config.n_qubits)
     out = [state.entropy(region)]
-    steps = circuit_stream(rng, n_qubits, time_steps)
+    steps = circuit_stream(rng, config.n_qubits, config.time_steps)
     for step, (t_site, control, target_1, target_2) in enumerate(steps, start=1):
         state.apply_t(t_site)
         state.apply_c3(control, target_1, target_2)
@@ -185,14 +173,7 @@ def run_random_ensemble(
     `--oracle-check` runs the same circuits on.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.realizations)
-    realization = functools.partial(
-        _run_realization,
-        simulator,
-        config.n_qubits,
-        config.time_steps,
-        config.sample_every,
-        config.cut,
-    )
+    realization = functools.partial(_run_realization, simulator, config)
     workers = min(max_workers, config.realizations)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

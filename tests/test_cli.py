@@ -145,6 +145,20 @@ class TestRandom:
         assert code == 2
         assert str(cfg) in err and "'saple_every'" in err
 
+    def test_config_file_line_without_equals_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# settings\n\nn = 6  # qubits\n   \nsteps 20\n")
+        code, out, err = run_cli(["random", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}:5: expected key = value\n"
+
+    def test_config_file_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# settings\n\nn = 6\n  # more\nsteps = 10\nreals = 1\nseed = 5\n")
+        code, _, err = run_cli(["random", "--config", str(cfg)], capsys)
+        assert code == 0, err
+
     def test_missing_flags_usage_error(self, capsys):
         code, _, err = run_cli(["random", "--n", "6"], capsys)
         assert code == 2
@@ -453,6 +467,64 @@ class TestRunProgram:
         assert code == 3
         assert out == ""
         assert err == "error: [Errno 2] No such file or directory: '/nonexistent.prog'\n"
+
+
+MANIFEST_KEYS = ["subcommand", "config", "version", "rng_seed", "started", "finished",
+                 "outputs"]
+
+
+class TestManifests:
+    """Every subcommand writes the same manifest fields, in the same order."""
+
+    def read(self, path, subcommand):
+        manifest = json.loads(path.read_text())
+        assert list(manifest) == MANIFEST_KEYS
+        assert manifest["subcommand"] == subcommand
+        assert manifest["version"] == super_scrambler.__version__
+        return manifest
+
+    def test_verify(self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        assert run_cli(["verify", "--manifest", str(path)], capsys)[0] == 0
+        manifest = self.read(path, "verify")
+        assert manifest["config"] == {"json": False}
+        assert manifest["rng_seed"] is None
+        assert manifest["outputs"] == {}
+
+    @pytest.mark.parametrize(
+        "flags, cuts", [(["--entropy-cuts", "1,2"], [1, 2]), ([], None)],
+        ids=["with-cuts", "without-cuts"],
+    )
+    def test_run_program(self, flags, cuts, tmp_path, capsys):
+        program = tmp_path / "ghz.prog"
+        program.write_text("N 3\nT 1\nC3 1 2 3\n")
+        path = tmp_path / "r.json"
+        argv = ["run-program", str(program), *flags, "--manifest", str(path)]
+        assert run_cli(argv, capsys)[0] == 0
+        manifest = self.read(path, "run-program")
+        assert manifest["config"] == {"file": str(program), "entropy_cuts": cuts}
+        assert manifest["rng_seed"] is None
+        assert manifest["outputs"] == {}
+
+    def test_ghz_records_default_cut(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        assert run_cli(["ghz", "--n", "9", "--manifest", str(path)], capsys)[0] == 0
+        manifest = self.read(path, "ghz")
+        assert manifest["config"] == {"n": 9, "localized": False, "cut": [3]}
+        assert manifest["rng_seed"] is None
+        assert manifest["outputs"] == {}
+
+    def test_random_manifest_flag_replaces_default_path(self, tmp_path, capsys):
+        out, path = tmp_path / "run.csv", tmp_path / "m.json"
+        argv = ["random", "--n", "6", "--steps", "10", "--reals", "2", "--seed", "21",
+                "--out", str(out), "--manifest", str(path)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.json", "run.csv", "run.summary.json"
+        ]
+        manifest = self.read(path, "random")
+        assert manifest["rng_seed"] == manifest["config"]["rng_seed"] == 21
+        assert list(manifest["outputs"]) == [str(out), str(tmp_path / "run.summary.json")]
 
 
 class TestEntryPoint:

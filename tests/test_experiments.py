@@ -65,6 +65,10 @@ class TestBuildGhzProgram:
 
 
 class TestRandomStep:
+    def test_needs_three_qubits(self):
+        with pytest.raises(ExperimentError, match="^random step needs at least 3 qubits$"):
+            random_step(np.random.default_rng(0), 2)
+
     def test_seeded_reproducibility(self):
         a = [random_step(np.random.default_rng(99), 10) for _ in range(5)]
         b = [random_step(np.random.default_rng(99), 10) for _ in range(5)]
@@ -228,6 +232,10 @@ class TestRunRandomEnsemble:
         settings[key] = value
         with pytest.raises(ExperimentError, match=f"^{key} must be an integer, got"):
             ExperimentConfig(**settings)
+
+    def test_config_needs_three_qubits(self):
+        with pytest.raises(ExperimentError, match="^random runs need at least 3 qubits$"):
+            ExperimentConfig(n_qubits=2, time_steps=10, realizations=1, rng_seed=3)
 
     def test_step_zero_entropy_is_zero(self):
         cfg = ExperimentConfig(

@@ -59,6 +59,18 @@ class TestSuperPauliLabel:
             SuperPauli.from_label("X Y")
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: SuperPauli(0, 0, 0), "n_qubits must be positive"),
+     (lambda: SuperPauli(2, 4, 0), "mask out of range for n_qubits"),
+     (lambda: OperatorProgram(0), "n_qubits must be positive")],
+    ids=["pauli-zero-qubits", "pauli-wide-mask", "program-zero-qubits"],
+)
+def test_bad_size_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestReverseFromStateSpace:
     def test_two_gate_example(self):
         prog = reverse_from_state_space([T(1), C3(1, 2, 3)], 3)

@@ -188,6 +188,10 @@ class TestConstruction:
         with pytest.raises(OracleError):
             OperatorWavefunction.new_all_x(0)
 
+    def test_amplitude_length_must_match(self):
+        with pytest.raises(OracleError, match="^amplitude vector has wrong length$"):
+            OperatorWavefunction(3, np.zeros(4))
+
 
 class TestApplyT:
     def test_x_maps_to_x_minus_y(self):
@@ -337,6 +341,11 @@ class TestCheckStabilized:
     def test_all_x_state_stabilized_by_z(self):
         psi = OperatorWavefunction.new_all_x(4)
         assert psi.check_stabilized(SuperPauli(4, 0, 0b0001)) == "plus"
+
+    def test_other_size_rejected(self):
+        psi = OperatorWavefunction.new_all_x(4)
+        with pytest.raises(OracleError, match="^stabilizer/wavefunction dimension mismatch$"):
+            psi.check_stabilized(SuperPauli(3, 0, 0b001))
 
     def test_all_x_state_not_stabilized_by_x(self):
         psi = OperatorWavefunction.new_all_x(4)

@@ -326,6 +326,15 @@ class TestSerialization:
         with pytest.raises(TableauError, match="anticommute"):
             SuperStabilizerTableau.loads("XII\nZII\nIIZ\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty stabilizer dump"), ("\nXZ", "empty stabilizer line")],
+        ids=["no-lines", "empty-first-line"],
+    )
+    def test_empty_rejected(self, text, message):
+        with pytest.raises(TableauError, match=f"^{message}$"):
+            SuperStabilizerTableau.loads(text)
+
 
 def expected_gate_error(sites, n, distinct_message):
     """The rejection a gate on `sites` must raise, or None: the first site
