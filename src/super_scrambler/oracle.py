@@ -101,6 +101,16 @@ class OperatorWavefunction(GateSimulator):
         axes_b = [j for j in range(n) if j not in axes_a]
         psi = self.amplitudes.reshape((2,) * n)
         psi = psi.transpose(axes_a + axes_b).reshape(1 << len(sites), -1)
+        # A stabilizer state has a flat spectrum. (tr ρ²)² ≤ tr ρ · tr ρ³
+        # (Cauchy–Schwarz) is an equality exactly when the nonzero eigenvalues
+        # of ρ are equal, and then S = -log2 tr ρ²; any other state takes the SVD.
+        m = psi if psi.shape[0] <= psi.shape[1] else psi.T
+        rho = m @ m.conj().T
+        rho2 = rho @ rho
+        tr1, tr2 = np.trace(rho).real, np.trace(rho2).real
+        tr3 = np.vdot(rho, rho2).real  # rho is Hermitian: sum conj(ρ_ij) ρ²_ij
+        if abs(tr1 - 1.0) <= 1e-12 and tr3 - tr2 * tr2 <= 1e-12 * tr2 * tr2:
+            return float(-np.log2(tr2))
         sv = np.linalg.svd(psi, compute_uv=False)
         probs = sv**2
         probs = probs[probs > 1e-15]

@@ -20,6 +20,7 @@ from super_scrambler.model import (
 )
 from super_scrambler.oracle import OperatorWavefunction
 from super_scrambler.tableau import Region, SuperStabilizerTableau
+from test_oracle import svd_entropy_reference
 
 
 @st.composite
@@ -70,7 +71,9 @@ def test_tableau_matches_oracle_on_every_region(pair):
         s = tableau.entropy(region)
         complement = Region(set(range(1, n + 1)) - region.sites)
         assert s == tableau.entropy(complement), list(region)
-        assert abs(s - psi.entropy(region)) < 1e-6, list(region)
+        oracle_s = psi.entropy(region)
+        assert abs(s - oracle_s) < 1e-6, list(region)
+        assert abs(oracle_s - svd_entropy_reference(psi, region)) < 1e-9, list(region)
 
 
 @settings(max_examples=100, deadline=None)

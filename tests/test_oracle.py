@@ -16,7 +16,11 @@ from super_scrambler.oracle import (
     _embed,
     _pauli_string,
 )
-from super_scrambler.experiments import build_ghz_program
+from super_scrambler.experiments import (
+    ExperimentConfig,
+    build_ghz_program,
+    run_random_ensemble,
+)
 from super_scrambler.tableau import Region, SuperStabilizerTableau
 
 
@@ -105,6 +109,21 @@ def reference_embed(mat, qubits, n):
                 row = (row << 1) | b
             full[row, col] += amp
     return full
+
+
+def svd_entropy_reference(psi, region):
+    """The Schmidt-spectrum `entropy`, kept as the reference: the von Neumann
+    entropy of the squared singular values of the amplitudes reshaped across
+    the cut, for any state, flat spectrum or not."""
+    n = psi.n_qubits
+    sites = sorted(set(region))
+    axes_a = [n - s for s in sites]
+    axes_b = [j for j in range(n) if j not in axes_a]
+    m = psi.amplitudes.reshape((2,) * n).transpose(axes_a + axes_b)
+    sv = np.linalg.svd(m.reshape(1 << len(sites), -1), compute_uv=False)
+    probs = sv**2
+    probs = probs[probs > 1e-15]
+    return float(-np.sum(probs * np.log2(probs)))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -335,6 +354,97 @@ class TestNormAndEntropy:
         for sites in ([True, 2], [False]):  # a bool is not read as site 1 or 0
             with pytest.raises(TypeError):
                 psi.entropy(sites)
+
+
+def with_phases(psi):
+    """psi times a global phase and a factor i on every Y slot: the second is
+    a product of one-site unitaries, so the Schmidt spectrum stays as it was
+    while the amplitudes turn complex."""
+    y_weight = np.array([bin(y).count("1") for y in range(1 << psi.n_qubits)])
+    return OperatorWavefunction(
+        psi.n_qubits, psi.amplitudes * np.exp(1j * np.pi / 3) * 1j**y_weight
+    )
+
+
+def cut_regions(n):
+    """Every prefix, and the odd sites."""
+    return [list(range(1, p + 1)) for p in range(1, n)] + [list(range(1, n + 1, 2))]
+
+
+class TestEntropyCertificate:
+    """The path `entropy` takes: a circuit-evolved state certifies its flat
+    spectrum and never reaches the SVD; any other state takes the SVD and
+    gets exactly the reference's value."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    def test_circuit_states_certify_without_svd(self, svd_calls):
+        rng = np.random.default_rng(61)
+        states = {"all-X n=5": OperatorWavefunction.new_all_x(5)}
+        for n in (4, 6, 8):
+            psi = OperatorWavefunction.new_all_x(n)
+            psi.apply_program(random_program(rng, n, 60))
+            states[f"T/C3/SWAP n={n}"] = psi
+            states[f"T/C3/SWAP n={n}, complex"] = with_phases(psi)
+        for n in (6, 9, 12):
+            psi = OperatorWavefunction.new_all_x(n)
+            psi.apply_program(build_ghz_program(n))
+            states[f"GHZ n={n}"] = psi
+            states[f"GHZ n={n}, complex"] = with_phases(psi)
+        largest = 0.0
+        for name, psi in states.items():
+            for region in cut_regions(psi.n_qubits):
+                want = svd_entropy_reference(psi, region)
+                svd_calls.clear()
+                got = psi.entropy(region)
+                assert svd_calls == [], (name, region)
+                assert abs(got - want) < 1e-9, (name, region)
+                largest = max(largest, want)
+        assert largest > 2  # some of the states are far from product states
+
+    def test_other_states_take_the_svd(self, svd_calls):
+        rng = np.random.default_rng(67)
+        n = 6
+        ghz = OperatorWavefunction.new_all_x(n)
+        ghz.apply_program(build_ghz_program(n))
+        unequal = np.zeros(1 << n)
+        unequal[0], unequal[-1] = np.sqrt(0.8), np.sqrt(0.2)  # all-X and all-Y
+        states = {
+            "gaussian": random_amplitudes(rng, n, float),
+            "complex gaussian": random_amplitudes(rng, n, complex),
+            "0.8 all-X + 0.2 all-Y": unequal,
+            "unnormalized GHZ": 2 * ghz.amplitudes,
+        }
+        for name in ("gaussian", "complex gaussian"):
+            states[name] /= np.linalg.norm(states[name])
+        for name, amps in states.items():
+            psi = OperatorWavefunction(n, amps)
+            for region in cut_regions(n):
+                want = svd_entropy_reference(psi, region)
+                svd_calls.clear()
+                assert psi.entropy(region) == want, (name, region)
+                assert len(svd_calls) == 1, (name, region)
+        binary = -(0.8 * np.log2(0.8) + 0.2 * np.log2(0.2))
+        psi = OperatorWavefunction(n, unequal)
+        assert psi.entropy([1]) == pytest.approx(binary, abs=1e-12)
+
+    def test_n16_realization_certifies_every_sample(self, svd_calls):
+        config = ExperimentConfig(16, 300, 1, rng_seed=5)
+        oracle = run_random_ensemble(config, simulator=OperatorWavefunction)
+        assert svd_calls == []
+        tableau = run_random_ensemble(config)
+        assert np.abs(oracle.values - tableau.values).max() < 1e-9
+        assert tableau.values.max() >= 5
 
 
 class TestCheckStabilized:
