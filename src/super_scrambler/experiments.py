@@ -216,6 +216,8 @@ def estimate_saturation_time(series: EntropySeries) -> int:
     with zero within noise), otherwise the plateau is not established.
     """
     n = len(series.steps)
+    if n < 2:
+        raise ExperimentError("plateau needs at least 2 samples")
     tail = max(2, n // 10)
     x = series.steps[-tail:].astype(float)
     y = series.mean[-tail:]

@@ -185,29 +185,23 @@ def localize_c3(c3: C3, n_qubits: int) -> List[SuperGate]:
     validate_gate(c3, n_qubits)
     c = c3.control
     lo, hi = sorted((c3.target_1, c3.target_2))
-
-    moves: List[Tuple[int, int]] = []  # (from, to) single-step shuttles
-
-    def shuttle(src: int, dst: int) -> None:
-        step = 1 if dst > src else -1
-        for pos in range(src, dst, step):
-            moves.append((pos, pos + step))
-
     if lo > c:  # both targets above the control
-        shuttle(lo, c + 1)
-        shuttle(hi, c + 2)
+        swaps = _ladder(lo, c + 1) + _ladder(hi, c + 2)
         local = C3(c, c + 1, c + 2)
     elif hi < c:  # both below
-        shuttle(hi, c - 1)
-        shuttle(lo, c - 2)
+        swaps = _ladder(hi, c - 1) + _ladder(lo, c - 2)
         local = C3(c, c - 2, c - 1)
     else:  # one on each side
-        shuttle(lo, c - 1)
-        shuttle(hi, c + 1)
+        swaps = _ladder(lo, c - 1) + _ladder(hi, c + 1)
         local = C3(c, c - 1, c + 1)
-
-    swaps = [Swap(min(a, b), max(a, b)) for a, b in moves]
     return [*swaps, local, *reversed(swaps)]
+
+
+def _ladder(src: int, dst: int) -> List[Swap]:
+    """The adjacent SWAPs that walk the qubit at `src` to `dst`, in order."""
+    if src < dst:
+        return [Swap(p, p + 1) for p in range(src, dst)]
+    return [Swap(p - 1, p) for p in range(src, dst, -1)]
 
 
 STATE_SPACE_DIRECTIVE = "@state-space-order"

@@ -9,7 +9,7 @@ Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -232,15 +232,7 @@ class GateTableReport:
     def to_dict(self) -> dict:
         return {
             "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_deviation": c.max_deviation,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [{**asdict(c), "passed": c.passed} for c in self.checks],
             "notes": self.notes,
         }
 

@@ -93,6 +93,23 @@ class TestRandom:
         assert code == 0
         assert "oracle check passed" in out
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle-check"]])
+    @pytest.mark.parametrize(
+        "steps", [["--steps", "0"], ["--steps", "5", "--sample-every", "10"]]
+    )
+    def test_one_sample_run_writes_its_files(self, tmp_path, capsys, steps, oracle):
+        out = tmp_path / "x.csv"
+        flags = ["random", "--n", "6", *steps, "--reals", "1", "--seed", "1",
+                 "--out", str(out), *oracle]
+        assert run_cli(flags, capsys)[0] == 0
+        assert out.read_text().splitlines() == [
+            "step,mean_entropy,stderr,realizations", "0,0,0,1"
+        ]
+        summary = json.loads((tmp_path / "x.summary.json").read_text())
+        assert summary["saturation_step"] is None
+        assert summary["saturation_step_error"] == "plateau needs at least 2 samples"
+        assert (tmp_path / "x.csv.manifest.json").exists()
+
     def test_rerun_from_manifest_reproduces_outputs(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         flags = ["random", "--n", "8", "--steps", "40", "--reals", "3",

@@ -349,6 +349,11 @@ class TestSaturationTime:
         # 0.95 * plateau crossing of the exponential is near 3 * tau
         assert 60 <= sat <= 120
 
+    def test_one_sample_is_an_experiment_error(self):
+        series = synthetic_series([0.0], realizations=1)
+        with pytest.raises(ExperimentError, match="^plateau needs at least 2 samples$"):
+            estimate_saturation_time(series)
+
 
 class TestPageValue:
     def test_equal_bipartition_large(self):

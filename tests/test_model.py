@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -278,6 +279,39 @@ def reference_parse_program(text):
     return OperatorProgram(n_qubits, tuple(gates))
 
 
+# `localize_c3` as it read with a list of single-step moves, each turned
+# into a SWAP on its sorted pair of sites
+
+
+def reference_localize_c3(c3, n_qubits):
+    validate_gate(c3, n_qubits)
+    c = c3.control
+    lo, hi = sorted((c3.target_1, c3.target_2))
+
+    moves = []  # (from, to) single-step shuttles
+
+    def shuttle(src, dst):
+        step = 1 if dst > src else -1
+        for pos in range(src, dst, step):
+            moves.append((pos, pos + step))
+
+    if lo > c:  # both targets above the control
+        shuttle(lo, c + 1)
+        shuttle(hi, c + 2)
+        local = C3(c, c + 1, c + 2)
+    elif hi < c:  # both below
+        shuttle(hi, c - 1)
+        shuttle(lo, c - 2)
+        local = C3(c, c - 2, c - 1)
+    else:  # one on each side
+        shuttle(lo, c - 1)
+        shuttle(hi, c + 1)
+        local = C3(c, c - 1, c + 1)
+
+    swaps = [Swap(min(a, b), max(a, b)) for a, b in moves]
+    return [*swaps, local, *reversed(swaps)]
+
+
 def outcome(fn, *args):
     """What `fn(*args)` returns, or the type and message of what it raises."""
     try:
@@ -414,3 +448,18 @@ class TestParseProgramMatchesReference:
         for _ in range(2):
             with pytest.raises(ProgramError, match="^line 2: repeated index"):
                 parse_program("N 3\nC3 1 1 2\n")
+
+
+class TestLocalizeC3MatchesReference:
+    def test_every_c3_with_distinct_sites(self):
+        cases = 0
+        branches = set()
+        for n in range(3, 10):
+            sites = range(1, n + 1)
+            for c, t1, t2 in itertools.permutations(sites, 3):
+                gate = C3(c, t1, t2)
+                assert localize_c3(gate, n) == reference_localize_c3(gate, n), gate
+                cases += 1
+                branches.add((min(t1, t2) > c, max(t1, t2) < c))
+        assert cases == 1260
+        assert branches == {(True, False), (False, True), (False, False)}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from super_scrambler.model import C3, OperatorProgram, SuperPauli, Swap, T
 from super_scrambler.oracle import (
     C3_CONJUGATION_TABLE,
+    GateTableReport,
+    IdentityCheck,
     MAX_ORACLE_QUBITS,
     OperatorWavefunction,
     OracleError,
@@ -576,6 +579,21 @@ class TestVerifyGateTables:
         d = verify_gate_tables().to_dict()
         assert d["all_passed"] is True
         assert all("name" in c and "max_deviation" in c for c in d["checks"])
+
+    def test_report_dict_key_order(self):
+        report = GateTableReport(
+            checks=[IdentityCheck("a", 0.5, 1.0), IdentityCheck("b", 2.0, 1.0)],
+            notes=["n"],
+        )
+        expected = {
+            "all_passed": False,
+            "checks": [
+                {"name": "a", "max_deviation": 0.5, "tolerance": 1.0, "passed": True},
+                {"name": "b", "max_deviation": 2.0, "tolerance": 1.0, "passed": False},
+            ],
+            "notes": ["n"],
+        }
+        assert json.dumps(report.to_dict()) == json.dumps(expected)
 
     def test_c3_matrix_is_unitary(self):
         c3 = c3_state_space_matrix()
