@@ -47,33 +47,8 @@ def __getattr__(name):
     return value
 
 
-__all__ = [
-    "C3",
-    "EntropySeries",
-    "ExperimentConfig",
-    "ExperimentError",
-    "GateTableReport",
-    "OperatorProgram",
-    "OperatorWavefunction",
-    "OracleError",
-    "ProgramError",
-    "Region",
-    "SuperPauli",
-    "SuperStabilizerTableau",
-    "Swap",
-    "T",
-    "TableauError",
-    "build_ghz_program",
-    "circuit_stream",
-    "estimate_saturation_time",
-    "fit_growth_rate",
-    "format_program",
-    "gf2_rank",
-    "localize_c3",
-    "page_value",
-    "parse_program",
-    "random_step",
-    "reverse_from_state_space",
-    "run_random_ensemble",
-    "verify_gate_tables",
-]
+__all__ = sorted([
+    "C3", "OperatorProgram", "ProgramError", "SuperPauli", "Swap", "T",
+    "localize_c3", "parse_program", "format_program", "reverse_from_state_space",
+    "Region", "SuperStabilizerTableau", "TableauError", "gf2_rank", *_LAZY,
+])

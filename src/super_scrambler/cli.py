@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -126,10 +127,10 @@ def random_config(
     none) and the output digests the run must reproduce.
 
     Each key is taken from the first source that gives it: the flags, the
-    `--from-manifest` config, the `--config` file.  An int cut p is the
-    prefix 1..p; a manifest's site list is used as recorded.  The digests are
-    the manifest's, one per output in output order, when no other source
-    changes its settings; otherwise there are none.
+    `--from-manifest` config, the `--config` file.  The digests are the
+    manifest's, one per output in output order, when the settings equal the
+    manifest's own `ExperimentConfig`; otherwise there are none, and a line
+    on stderr says so.
     """
     sources = [{key: getattr(args, key) for key in RANDOM_KEYS}]
     saved, digests = {}, []
@@ -149,7 +150,12 @@ def random_config(
                 f"{args.from_manifest}: written by version "
                 f"{manifest.get('version')!r}, this is {__version__!r}"
             )
-        sources.append({key: saved.get(f) for key, (f, _) in RANDOM_KEYS.items()})
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        problems = [f"unknown key {k!r}" for k in sorted(saved.keys() - fields)]
+        problems += [f"no key {k!r}" for k in sorted(fields - saved.keys())]
+        if problems:
+            raise OSError(f"bad manifest: config has {', '.join(problems)}")
+        sources.append({key: saved[f] for key, (f, _) in RANDOM_KEYS.items()})
     if args.config:
         sources.append(load_config_file(args.config))
     # later sources overwrite earlier ones here, so the first source wins
@@ -162,21 +168,25 @@ def random_config(
     for key in ("n", "steps", "reals", "seed"):
         if RANDOM_KEYS[key][0] not in settings:
             raise UsageError(f"--{key} is required")
-    cut = settings.get("cut")
-    if isinstance(cut, bool):
-        raise UsageError(f"cut must be a site count or a site list, got {cut!r}")
     try:
-        if isinstance(cut, int):
-            settings["cut"] = Region.prefix(cut)
-        elif cut is not None:
-            settings["cut"] = Region(cut)
         config = ExperimentConfig(**settings)
     except (TypeError, ValueError) as e:
         raise UsageError(str(e))
     outputs = []
     if config.output:
         outputs = [config.output, os.path.splitext(config.output)[0] + ".summary.json"]
-    if config.to_dict() != saved:
+    if not args.from_manifest:
+        return config, outputs, []
+    try:
+        recorded = ExperimentConfig(**saved)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"{args.from_manifest}: {e}")
+    if config != recorded:
+        print(
+            f"note: settings differ from {args.from_manifest}; "
+            "its output digests are not checked",
+            file=sys.stderr,
+        )
         return config, outputs, []
     if digests and len(digests) != len(outputs):
         raise OSError(
@@ -186,13 +196,19 @@ def random_config(
 
 
 def max_workers() -> int:
+    """`SUPER_SCRAMBLER_THREADS` (default 1), capped at the CPUs this process
+    may run on."""
     try:
         workers = int(os.environ.get("SUPER_SCRAMBLER_THREADS", "1"))
     except ValueError:
         workers = 0
     if workers < 1:
         raise UsageError("SUPER_SCRAMBLER_THREADS must be a positive integer")
-    return workers
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
 
 
 def replace_if_reproduced(

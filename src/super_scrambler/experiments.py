@@ -9,7 +9,7 @@ import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +27,8 @@ class ExperimentConfig:
     time_steps: int
     realizations: int
     rng_seed: int
-    cut: Optional[Region] = None  # defaults to prefix(N // 2)
+    # an int p is the prefix 1..p, any other value Region(cut), None prefix(N // 2)
+    cut: Union[Iterable[int], int, None] = None
     sample_every: int = 1
     output: Optional[str] = None
 
@@ -44,9 +45,19 @@ class ExperimentConfig:
             raise ExperimentError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.output is not None and not isinstance(self.output, str):
             raise ExperimentError(f"output must be a path string, got {self.output!r}")
-        if self.cut is None:
-            self.cut = Region.prefix(self.n_qubits // 2)
-        self.cut.validate(self.n_qubits)
+        n = self.n_qubits
+        cut = n // 2 if self.cut is None else self.cut
+        if isinstance(cut, bool):
+            raise ExperimentError(
+                f"cut must be a site count or a site list, got {cut!r}"
+            )
+        if isinstance(cut, int):
+            if not 0 <= cut <= n:  # before building a huge prefix
+                raise ExperimentError(f"cut {cut} out of range 0..{n}")
+            self.cut = Region.prefix(cut)
+        else:
+            self.cut = Region(cut)
+            self.cut.validate(n)
 
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "cut": sorted(self.cut.sites)}

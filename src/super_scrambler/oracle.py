@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .model import GateSimulator, SuperPauli, site_indices
+from .model import GateSimulator, site_indices
 
 MAX_ORACLE_QUBITS = 16
 _SQRT2 = np.sqrt(2.0)
@@ -115,32 +115,6 @@ class OperatorWavefunction(GateSimulator):
         probs = sv**2
         probs = probs[probs > 1e-15]
         return float(-np.sum(probs * np.log2(probs)))
-
-    def check_stabilized(self, stabilizer: SuperPauli) -> str:
-        """Return "plus", "minus", or "not_stabilized" for a SuperPauli.
-
-        The SuperPauli acts with X-type factors flipping basis bits and
-        Z-type factors contributing (-1)^bit phases; signs are compared
-        up to the stabilizer's untracked global sign.
-        """
-        if stabilizer.n_qubits != self.n_qubits:
-            raise OracleError("stabilizer/wavefunction dimension mismatch")
-        n = self.n_qubits
-        x_axes = [n - 1 - j for j in range(n) if stabilizer.x_mask >> j & 1]
-        z_axes = [n - 1 - j for j in range(n) if stabilizer.z_mask >> j & 1]
-        sign = np.ones(1)
-        for _ in z_axes:  # (-1)^(bit parity); symmetric, so any axis order fits
-            sign = np.concatenate((sign, -sign))
-        sign = sign.reshape([2 if j in z_axes else 1 for j in range(n)])
-        psi = self.amplitudes.reshape((2,) * n)
-        out = np.flip(psi * sign, x_axes)
-        # np.allclose(out, ±psi, atol=1e-9) with its default rtol, spelled out
-        tol = 1e-9 + 1e-5 * np.abs(psi)
-        if (np.abs(out - psi) <= tol).all():
-            return "plus"
-        if (np.abs(out + psi) <= tol).all():
-            return "minus"
-        return "not_stabilized"
 
 
 # -- gate-algebra verification ---------------------------------------------

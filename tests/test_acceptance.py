@@ -22,6 +22,7 @@ from super_scrambler.experiments import (
 from super_scrambler.model import Swap
 from super_scrambler.oracle import OperatorWavefunction, verify_gate_tables
 from super_scrambler.tableau import Region, SuperStabilizerTableau
+from test_oracle import check_stabilized_reference
 
 
 def report(name, ok, margins=()):
@@ -129,7 +130,7 @@ def test_oracle_equivalence():
                         ok &= diff < 1e-6
                         worst = max(worst, diff)
                     for sp in tab.stabilizers:
-                        ok &= psi.check_stabilized(sp) in ("plus", "minus")
+                        ok &= check_stabilized_reference(psi, sp) in ("plus", "minus")
             if not ok:
                 break
         if not ok:

@@ -416,6 +416,134 @@ class TestRandom:
         assert config["output"] == str(out)  # config file fills what is left
         assert out.exists()
 
+    HUGE_CUT = 1180591620717411303424  # 2**70, past any C ssize_t
+
+    @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+    def test_huge_cut_usage_error_before_ensemble(
+        self, source, tmp_path, capsys, monkeypatch
+    ):
+        flags = ["random", "--n", "8", "--steps", "1", "--reals", "1", "--seed", "1"]
+        if source == "flag":
+            flags += ["--cut", str(self.HUGE_CUT)]
+        elif source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"cut = {self.HUGE_CUT}\n")
+            flags += ["--config", str(cfg)]
+        else:
+            _, manifest = self._first_run(tmp_path, capsys)
+            record = json.loads(manifest.read_text())
+            record["config"]["cut"] = self.HUGE_CUT
+            manifest.write_text(json.dumps(record))
+            flags = ["random", "--from-manifest", str(manifest)]
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, out, err = run_cli(flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cut {self.HUGE_CUT} out of range 0..8\n"
+
+    def _zeroed_manifest(self, tmp_path, capsys, edit):
+        """A recorded run whose manifest has zeroed digests and `edit` applied
+        to its config."""
+        _, manifest = self._first_run(tmp_path, capsys)
+        record = json.loads(manifest.read_text())
+        record["outputs"] = {path: "0" * 64 for path in record["outputs"]}
+        edit(record["config"])
+        manifest.write_text(json.dumps(record))
+        return manifest
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda c: c.update(bogus=1), "unknown key 'bogus'"),
+         (lambda c: c.pop("sample_every"), "no key 'sample_every'")],
+        ids=["unknown-key", "missing-key"],
+    )
+    def test_rerun_from_manifest_with_other_keys_io_error(
+        self, edit, message, tmp_path, capsys, monkeypatch
+    ):
+        manifest = self._zeroed_manifest(tmp_path, capsys, edit)
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, out, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: bad manifest: config has {message}\n"
+
+    @pytest.mark.parametrize(
+        "cut", [4, [1, 1, 2, 3, 4], [4, 3, 2, 1]], ids=["int", "repeated", "unsorted"]
+    )
+    def test_rerun_from_manifest_checks_digests_of_any_cut_spelling(
+        self, cut, tmp_path, capsys
+    ):
+        out, manifest = self._first_run(tmp_path, capsys)
+        first = out.read_bytes()
+        record = json.loads(manifest.read_text())
+        record["config"]["cut"] = cut
+        manifest.write_text(json.dumps(record))
+        out.unlink()
+        code, _, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == first
+        record["outputs"] = {path: "0" * 64 for path in record["outputs"]}
+        manifest.write_text(json.dumps(record))
+        code, _, err = run_cli(["random", "--from-manifest", str(manifest)], capsys)
+        assert code == 1
+        assert "does not match its digest" in err
+
+    def test_rerun_with_changed_settings_says_digests_are_not_checked(
+        self, tmp_path, capsys
+    ):
+        manifest = self._zeroed_manifest(tmp_path, capsys, lambda c: None)
+        code, _, err = run_cli(
+            ["random", "--from-manifest", str(manifest), "--seed", "9"], capsys
+        )
+        assert code == 0
+        assert err == (
+            f"note: settings differ from {manifest}; "
+            "its output digests are not checked\n"
+        )
+
+    def test_rerun_from_manifest_bad_value_under_a_flag_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        manifest = self._zeroed_manifest(
+            tmp_path, capsys, lambda c: c.update(n_qubits="abc")
+        )
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, out, err = run_cli(
+            ["random", "--from-manifest", str(manifest), "--n", "8"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {manifest}: n_qubits must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "threads, affinity, cpu_count, workers",
+        [("64", {0, 1}, 8, 2), ("1", {0, 1, 2}, 8, 1), ("64", None, 3, 3),
+         ("64", None, None, 1)],
+        ids=["affinity-caps", "below-cap", "cpu-count-caps", "cpu-count-unknown"],
+    )
+    def test_worker_count_capped_at_usable_cpus(
+        self, threads, affinity, cpu_count, workers, capsys, monkeypatch
+    ):
+        from super_scrambler import cli
+
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        requested = []
+        ensemble = cli.run_random_ensemble
+
+        def one_process(config, max_workers):
+            requested.append(max_workers)
+            return ensemble(config, max_workers=1)
+
+        monkeypatch.setattr(cli, "run_random_ensemble", one_process)
+        monkeypatch.setenv("SUPER_SCRAMBLER_THREADS", threads)
+        flags = ["random", "--n", "6", "--steps", "5", "--reals", "64", "--seed", "1"]
+        assert run_cli(flags, capsys)[0] == 0
+        assert requested == [workers]
+
 
 class TestRunProgram:
     def test_ghz_program_file(self, tmp_path, capsys):

@@ -237,6 +237,20 @@ class TestRunRandomEnsemble:
         with pytest.raises(ExperimentError, match="^random runs need at least 3 qubits$"):
             ExperimentConfig(n_qubits=2, time_steps=10, realizations=1, rng_seed=3)
 
+    @pytest.mark.parametrize("cut", [3, [1, 2, 3], [3, 1, 2, 2], Region.prefix(3)])
+    def test_config_cut_spellings_are_one_config(self, cut):
+        settings = dict(n_qubits=6, time_steps=10, realizations=1, rng_seed=3)
+        cfg = ExperimentConfig(**settings, cut=cut)
+        assert cfg.cut == Region.prefix(3)
+        assert cfg == ExperimentConfig(**settings, cut=3)
+
+    @pytest.mark.parametrize("cut", [-1, 7, 2**70])
+    def test_config_int_cut_out_of_range(self, cut):
+        with pytest.raises(ExperimentError, match=f"^cut {cut} out of range 0..6$"):
+            ExperimentConfig(
+                n_qubits=6, time_steps=10, realizations=1, rng_seed=3, cut=cut
+            )
+
     def test_step_zero_entropy_is_zero(self):
         cfg = ExperimentConfig(
             n_qubits=6, time_steps=10, realizations=3, rng_seed=1, sample_every=2

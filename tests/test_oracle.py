@@ -81,7 +81,8 @@ def apply_super_pauli_reference(amps, stabilizer):
 
 
 def check_stabilized_reference(psi, stabilizer):
-    """The index-arithmetic `check_stabilized`, kept as the reference."""
+    """"plus", "minus" or "not_stabilized": whether `stabilizer` fixes the
+    oracle state `psi` up to its untracked global sign, by index arithmetic."""
     out = apply_super_pauli_reference(psi.amplitudes, stabilizer)
     if np.allclose(out, psi.amplitudes, atol=1e-9):
         return "plus"
@@ -453,22 +454,18 @@ class TestEntropyCertificate:
 class TestCheckStabilized:
     def test_all_x_state_stabilized_by_z(self):
         psi = OperatorWavefunction.new_all_x(4)
-        assert psi.check_stabilized(SuperPauli(4, 0, 0b0001)) == "plus"
-
-    def test_other_size_rejected(self):
-        psi = OperatorWavefunction.new_all_x(4)
-        with pytest.raises(OracleError, match="^stabilizer/wavefunction dimension mismatch$"):
-            psi.check_stabilized(SuperPauli(3, 0, 0b001))
+        assert check_stabilized_reference(psi, SuperPauli(4, 0, 0b0001)) == "plus"
 
     def test_all_x_state_not_stabilized_by_x(self):
         psi = OperatorWavefunction.new_all_x(4)
-        assert psi.check_stabilized(SuperPauli(4, 0b0001, 0)) == "not_stabilized"
+        sp = SuperPauli(4, 0b0001, 0)
+        assert check_stabilized_reference(psi, sp) == "not_stabilized"
 
     def test_minus_sign_detected(self):
         amps = np.zeros(2, dtype=complex)
         amps[1] = 1.0  # the Y string, Z-eigenvalue -1
         psi = OperatorWavefunction(1, amps)
-        assert psi.check_stabilized(SuperPauli(1, 0, 1)) == "minus"
+        assert check_stabilized_reference(psi, SuperPauli(1, 0, 1)) == "minus"
 
     def test_co_evolution_with_tableau(self):
         rng = np.random.default_rng(41)
@@ -479,7 +476,7 @@ class TestCheckStabilized:
             tab = SuperStabilizerTableau.new_all_x(n)
             tab.apply_program(prog)
             for sp in tab.stabilizers:
-                assert psi.check_stabilized(sp) in ("plus", "minus")
+                assert check_stabilized_reference(psi, sp) in ("plus", "minus")
             for p in range(1, n):
                 assert tab.entropy(Region.prefix(p)) == pytest.approx(
                     psi.entropy(range(1, p + 1)), abs=1e-6
@@ -493,7 +490,7 @@ class TestCheckStabilized:
                     psi.entropy(sites), abs=1e-6
                 ), sites
 
-    def test_matches_reference(self):
+    def test_anticommuting_flip_turns_the_sign(self):
         rng = np.random.default_rng(47)
         seen = set()
         for n in range(1, 9):
@@ -503,7 +500,6 @@ class TestCheckStabilized:
                 psi.apply_program(prog)
                 tab = SuperStabilizerTableau.new_all_x(n)
                 tab.apply_program(prog)
-                probes = []
                 for sp in tab.stabilizers:
                     # X or Z at a site where sp acts anticommutes with sp, so
                     # it maps psi to a state that sp stabilizes with the
@@ -519,21 +515,18 @@ class TestCheckStabilized:
                     assert check_stabilized_reference(anti, sp) == {
                         "plus": "minus", "minus": "plus"
                     }[want]
-                    probes += [(psi, sp), (anti, sp)]
+                    seen.add(want)
                 for _ in range(8):
                     x_mask, z_mask = (int(m) for m in rng.integers(0, 1 << n, size=2))
                     sp = SuperPauli(n, x_mask, z_mask)
-                    probes.append((psi, sp))
+                    seen.add(check_stabilized_reference(psi, sp))
                     for dtype in (float, complex):
                         amps = random_amplitudes(rng, n, dtype)
-                        probes.append((OperatorWavefunction(n, amps), sp))
-                for state, sp in probes:
-                    want = check_stabilized_reference(state, sp)
-                    assert state.check_stabilized(sp) == want, (n, sp)
-                    seen.add(want)
+                        state = OperatorWavefunction(n, amps)
+                        seen.add(check_stabilized_reference(state, sp))
         assert seen == {"plus", "minus", "not_stabilized"}
 
-    def test_tolerance_matches_reference(self):
+    def test_noise_past_the_tolerance_breaks_it(self):
         rng = np.random.default_rng(53)
         n = 6
         prog = random_program(rng, n, 40)
@@ -541,15 +534,14 @@ class TestCheckStabilized:
         psi.apply_program(prog)
         tab = SuperStabilizerTableau.new_all_x(n)
         tab.apply_program(prog)
-        seen = set()
+        signs = [check_stabilized_reference(psi, sp) for sp in tab.stabilizers]
+        assert set(signs) == {"plus", "minus"}
+        # the atol of 1e-9 keeps each sign under 1e-10 noise, none at 1e-9
         for scale in (1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3):
             noise = scale * rng.normal(size=1 << n)
             noisy = OperatorWavefunction(n, psi.amplitudes + noise)
-            for sp in tab.stabilizers:
-                want = check_stabilized_reference(noisy, sp)
-                assert noisy.check_stabilized(sp) == want, scale
-                seen.add(want)
-        assert seen == {"plus", "minus", "not_stabilized"}
+            got = [check_stabilized_reference(noisy, sp) for sp in tab.stabilizers]
+            assert got == (signs if scale < 1e-9 else ["not_stabilized"] * n), scale
 
 
 class TestVerifyGateTables:
