@@ -2,7 +2,9 @@
 
 The operator wavefunction lives in the 2^N-dimensional space spanned by
 X/Y strings; basis index = y_mask with site i at bit i-1.  It is real
-(float64) from the all-X start, and the gates act on reshaped tensor views.
+(float64) from the all-X start, and the gates act in place on reshaped views
+of it; T is one matrix product per call.  The entropy reads a prefix cut
+through a view, with no copy.
 Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
 """
 
@@ -18,7 +20,14 @@ from .model import GateSimulator, site_indices
 
 MAX_ORACLE_QUBITS = 16
 _SQRT2 = np.sqrt(2.0)
-_INV_SQRT2 = 1.0 / _SQRT2  # complex division by sqrt(2) also multiplies by this
+# T on the (X, Y) slot pair of one site: new = _T_PAIR @ old
+_T_PAIR = np.array([[1.0, 1.0], [-1.0, 1.0]]) / _SQRT2
+# the same map on rows of 8 reals, keyed by the number of reals below the
+# site's bit: where that is small, 2x2 products over the (-1, 2, low) view
+# walk an inner axis too short to be fast
+_T_ROWS = {
+    low: np.kron(np.eye(4 // low), np.kron(_T_PAIR.T, np.eye(low))) for low in (1, 2, 4)
+}
 _C3_SIGN = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
@@ -57,14 +66,19 @@ class OperatorWavefunction(GateSimulator):
         return cls(n_qubits, amps)
 
     def apply_t(self, site: int) -> None:
-        """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`."""
+        """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`: one matrix product."""
         self._check_site(site)
-        halves = self.amplitudes.reshape(-1, 2, 1 << (site - 1))
-        a0, a1 = halves[:, 0], halves[:, 1]  # site slot X, site slot Y
-        new_a0 = a0 + a1
-        a1 -= a0
-        a1 *= _INV_SQRT2
-        np.multiply(new_a0, _INV_SQRT2, out=a0)
+        # T is real, so it acts on complex amplitudes as on pairs of reals
+        # (re, im) one bit below site 1; `low` counts the reals below the site
+        flat = self.amplitudes.view(self.amplitudes.real.dtype)
+        low = flat.size >> (self.n_qubits - site + 1)
+        if low in _T_ROWS:
+            width = min(8, flat.size)  # a state of fewer reals: the top-left block
+            rows = flat.reshape(-1, width)
+            rows[...] = rows @ _T_ROWS[low][:width, :width]
+        else:
+            halves = flat.reshape(-1, 2, low)
+            halves[...] = _T_PAIR @ halves
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
         self._check_site(site_a, site_b)
@@ -100,17 +114,23 @@ class OperatorWavefunction(GateSimulator):
         axes_a = [n - s for s in sites]
         axes_b = [j for j in range(n) if j not in axes_a]
         psi = self.amplitudes.reshape((2,) * n)
-        psi = psi.transpose(axes_a + axes_b).reshape(1 << len(sites), -1)
+        # B then A, each in axis order: a prefix cut reshapes with no copy, and
+        # the order of rows and columns does not change the spectrum
+        m = psi.transpose(axes_b + axes_a[::-1]).reshape(-1, 1 << len(sites))
+        if m.shape[0] > m.shape[1]:
+            m = m.T
+        rho = m @ m.conj().T
         # A stabilizer state has a flat spectrum. (tr ρ²)² ≤ tr ρ · tr ρ³
         # (Cauchy–Schwarz) is an equality exactly when the nonzero eigenvalues
         # of ρ are equal, and then S = -log2 tr ρ²; any other state takes the SVD.
-        m = psi if psi.shape[0] <= psi.shape[1] else psi.T
-        rho = m @ m.conj().T
-        rho2 = rho @ rho
-        tr1, tr2 = np.trace(rho).real, np.trace(rho2).real
-        tr3 = np.vdot(rho, rho2).real  # rho is Hermitian: sum conj(ρ_ij) ρ²_ij
+        # tr ρ is the squared norm, and as ρ is Hermitian,
+        # tr ρ² = Σ conj(ρ_ij) ρ_ij and tr ρ³ = Σ conj(ρ_ij) ρ²_ij.
+        tr1 = np.vdot(self.amplitudes, self.amplitudes).real
+        tr2 = np.vdot(rho, rho).real
+        tr3 = np.vdot(rho, rho @ rho).real
         if abs(tr1 - 1.0) <= 1e-12 and tr3 - tr2 * tr2 <= 1e-12 * tr2 * tr2:
             return float(-np.log2(tr2))
+        psi = psi.transpose(axes_a + axes_b).reshape(1 << len(sites), -1)
         sv = np.linalg.svd(psi, compute_uv=False)
         probs = sv**2
         probs = probs[probs > 1e-15]

@@ -225,14 +225,18 @@ class TestRandom:
         assert code == 2
         assert "nonempty proper cut" in err
 
-    def test_oracle_check_mismatch_fails(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "offset, shown", [(1.0, "1.0"), (1e-5, "1e-05")], ids=["1.0", "1e-05"]
+    )
+    def test_oracle_check_mismatch_fails(self, offset, shown, capsys, monkeypatch):
+        # 1e-5 is past the check's 1e-6 tolerance but inside a looser 1e-3
         from super_scrambler.oracle import OperatorWavefunction
 
         entropy = OperatorWavefunction.entropy
         monkeypatch.setattr(
             OperatorWavefunction,
             "entropy",
-            lambda self, region: entropy(self, region) + 1.0,
+            lambda self, region: entropy(self, region) + offset,
         )
         code, out, err = run_cli(
             ["random", "--n", "6", "--steps", "30", "--reals", "2",
@@ -241,7 +245,7 @@ class TestRandom:
         )
         assert code == 1
         assert "oracle check passed" not in out
-        assert "oracle mismatch: realization 0 step 0: tableau 0.0 oracle 1.0" in err
+        assert f"oracle mismatch: realization 0 step 0: tableau 0.0 oracle {shown}" in err
 
     @pytest.mark.parametrize(
         "key, value",

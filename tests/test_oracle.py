@@ -115,6 +115,17 @@ def reference_embed(mat, qubits, n):
     return full
 
 
+def reference_apply_t(amps, site):
+    """The elementwise `apply_t`, kept as the reference: new X slot
+    (a0 + a1)/sqrt(2), new Y slot (a1 - a0)/sqrt(2), in place."""
+    halves = amps.reshape(-1, 2, 1 << (site - 1))
+    a0, a1 = halves[:, 0], halves[:, 1]  # site slot X, site slot Y
+    new_a0 = a0 + a1
+    a1 -= a0
+    a1 *= 1.0 / np.sqrt(2.0)
+    np.multiply(new_a0, 1.0 / np.sqrt(2.0), out=a0)
+
+
 def svd_entropy_reference(psi, region):
     """The Schmidt-spectrum `entropy`, kept as the reference: the von Neumann
     entropy of the squared singular values of the amplitudes reshaped across
@@ -156,7 +167,7 @@ class TestHeisenbergReference:
             assert np.abs(expected.imag).max() < 1e-12
         assert np.abs(psi.amplitudes - expected).max() < 1e-12, sites
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_apply_t_every_site(self, n, dtype):
         rng = np.random.default_rng((1, n))
         for site in range(1, n + 1):
@@ -243,6 +254,22 @@ class TestApplyT:
         for _ in range(4):
             psi.apply_t(1)
         assert np.allclose(psi.amplitudes, amps)
+
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_elementwise_reference_at_every_site(self, dtype):
+        # sites 1-3 take the product on rows of 8 reals, the others the 2x2
+        # product on the (-1, 2, low) view; a complex state moves each site
+        # one bit up, and a state of fewer than 8 reals takes a smaller block
+        rng = np.random.default_rng(9)
+        for n in range(1, 13):
+            for site in range(1, n + 1):
+                amps = random_amplitudes(rng, n, dtype)
+                psi = OperatorWavefunction(n, amps.copy())
+                psi.apply_t(site)
+                reference_apply_t(amps, site)
+                assert psi.amplitudes.dtype == dtype
+                assert np.abs(psi.amplitudes - amps).max() < 1e-12, (n, site)
 
 
 class TestApplySwap:
@@ -371,8 +398,13 @@ def with_phases(psi):
 
 
 def cut_regions(n):
-    """Every prefix, and the odd sites."""
-    return [list(range(1, p + 1)) for p in range(1, n)] + [list(range(1, n + 1, 2))]
+    """Every prefix, the odd sites, the sites past the half, and every third
+    site from site 2: only a prefix is read without a transpose copy."""
+    return [list(range(1, p + 1)) for p in range(1, n)] + [
+        list(range(1, n + 1, 2)),
+        list(range(n // 2 + 1, n + 1)),
+        list(range(2, n + 1, 3)),
+    ]
 
 
 class TestEntropyCertificate:
@@ -441,6 +473,20 @@ class TestEntropyCertificate:
         binary = -(0.8 * np.log2(0.8) + 0.2 * np.log2(0.2))
         psi = OperatorWavefunction(n, unequal)
         assert psi.entropy([1]) == pytest.approx(binary, abs=1e-12)
+
+    def test_trace_off_by_1e9_takes_the_svd(self, svd_calls):
+        # a flat spectrum whose trace misses 1 by more than 1e-12 is no
+        # normalized state: it takes the SVD, whose entropy differs
+        n = 6
+        ghz = OperatorWavefunction.new_all_x(n)
+        ghz.apply_program(build_ghz_program(n))
+        psi = OperatorWavefunction(n, ghz.amplitudes * np.sqrt(1 + 1e-9))
+        assert abs(np.vdot(psi.amplitudes, psi.amplitudes) - (1 + 1e-9)) < 1e-15
+        for region in cut_regions(n):
+            want = svd_entropy_reference(psi, region)
+            svd_calls.clear()
+            assert psi.entropy(region) == want, region
+            assert len(svd_calls) == 1, region
 
     def test_n16_realization_certifies_every_sample(self, svd_calls):
         config = ExperimentConfig(16, 300, 1, rng_seed=5)
