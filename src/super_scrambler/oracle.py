@@ -3,8 +3,11 @@
 The operator wavefunction lives in the 2^N-dimensional space spanned by
 X/Y strings; basis index = y_mask with site i at bit i-1.  It is real
 (float64) from the all-X start, and the gates act in place on reshaped views
-of it; T is one matrix product per call.  The entropy reads a prefix cut
-through a view, with no copy.
+of it.  T is one matrix product per call, and so is C3 on three adjacent
+sites: the window's 8x8 signed permutation, cached per orientation; a C3
+on other sites, or high in a large state, flips the target axes instead.
+Each gate checks its sites with one chained comparison.  The entropy checks
+a region by its ends and reshapes a prefix cut with no transpose or copy.
 Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
 """
 
@@ -29,6 +32,38 @@ _T_ROWS = {
     low: np.kron(np.eye(4 // low), np.kron(_T_PAIR.T, np.eye(low))) for low in (1, 2, 4)
 }
 _C3_SIGN = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+
+def _c3_window(control: int, target_1: int, target_2: int) -> np.ndarray:
+    """C3 on three adjacent sites as an 8x8 signed permutation: new = M @ old.
+
+    The arguments are the sites' bits in the window's 3-bit index: with the
+    control bit set, both target bits flip and the string takes `_C3_SIGN`'s
+    sign; any other string stays.
+    """
+    m = np.zeros((8, 8))
+    for w in range(8):
+        if w >> control & 1:
+            out = w ^ (1 << target_1) ^ (1 << target_2)
+            m[out, w] = _C3_SIGN[out >> target_1 & 1, out >> target_2 & 1]
+        else:
+            m[w, w] = 1.0
+    return m
+
+
+# one matrix per orientation, keyed by the window bits of (control, target_1,
+# target_2); and each on rows of 8 * low reals, keyed by (orientation, low)
+_C3_WINDOW = {key: _c3_window(*key) for key in itertools.permutations(range(3))}
+_C3_ROWS = {
+    (key, low): np.kron(m.T, np.eye(low)) for key, m in _C3_WINDOW.items() for low in (1, 2, 4)
+}
+# the rows product runs in BLAS calls of at most this many reals: a larger
+# call can go multithreaded, and on 2 shared cores it then ran 2-5x slower
+_C3_BLOCK = 1 << 12
+# the 8x8 product on the (-1, 8, low) view beats the flip up to this many
+# reals below the window, in a state of at most this many reals
+_C3_VIEW_MAX_LOW = 1 << 11
+_C3_VIEW_MAX_SIZE = 1 << 16
 
 
 class OracleError(ValueError):
@@ -67,7 +102,8 @@ class OperatorWavefunction(GateSimulator):
 
     def apply_t(self, site: int) -> None:
         """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`: one matrix product."""
-        self._check_site(site)
+        if not 1 <= site <= self.n_qubits:
+            self._check_site(site)
         # T is real, so it acts on complex amplitudes as on pairs of reals
         # (re, im) one bit below site 1; `low` counts the reals below the site
         flat = self.amplitudes.view(self.amplitudes.real.dtype)
@@ -81,8 +117,9 @@ class OperatorWavefunction(GateSimulator):
             halves[...] = _T_PAIR @ halves
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
-        self._check_site(site_a, site_b)
         n = self.n_qubits
+        if not (1 <= site_a <= n and 1 <= site_b <= n and site_a != site_b):
+            self._check_site(site_a, site_b)
         psi = self.amplitudes.reshape((2,) * n)
         # numpy copies an overlapping source before it assigns
         psi[...] = psi.swapaxes(n - site_a, n - site_b)
@@ -92,10 +129,30 @@ class OperatorWavefunction(GateSimulator):
 
         Y|X> = i|Y>, Y|Y> = -i|X>: both target bits flip, and the flipped
         string gets the sign `_C3_SIGN[its target bits]`: -1 if they are
-        equal, +1 otherwise.
+        equal, +1 otherwise.  On three adjacent sites this is one product
+        with the window's signed permutation; other sites take a flip.
         """
-        self._check_site(control, target_1, target_2)
         n = self.n_qubits
+        if not (
+            1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n
+            and control != target_1 and control != target_2 and target_1 != target_2
+        ):
+            self._check_site(control, target_1, target_2)
+        base = min(control, target_1, target_2)
+        if max(control, target_1, target_2) - base == 2:
+            # as in apply_t: complex amplitudes as pairs of reals, and `low`
+            # counts the reals below the window
+            flat = self.amplitudes.view(self.amplitudes.real.dtype)
+            low = flat.size >> (n - base + 1)
+            key = (control - base, target_1 - base, target_2 - base)
+            if low <= 4:
+                rows = flat.reshape(-1, min(flat.size, _C3_BLOCK) // (8 * low), 8 * low)
+                rows[...] = rows @ _C3_ROWS[key, low]
+                return
+            if low <= _C3_VIEW_MAX_LOW and flat.size <= _C3_VIEW_MAX_SIZE:
+                window = flat.reshape(-1, 8, low)
+                window[...] = _C3_WINDOW[key] @ window
+                return
         on = [slice(None)] * n
         on[n - control] = slice(1, 2)
         sub = self.amplitudes.reshape((2,) * n)[tuple(on)]  # control slot holds Y
@@ -109,14 +166,18 @@ class OperatorWavefunction(GateSimulator):
         n = self.n_qubits
         if not sites or len(sites) >= n:
             raise OracleError("region must be a nonempty proper subset")
-        self._check_site(*sites)
-        # axis j of the reshaped tensor corresponds to site n - j
-        axes_a = [n - s for s in sites]
-        axes_b = [j for j in range(n) if j not in axes_a]
-        psi = self.amplitudes.reshape((2,) * n)
-        # B then A, each in axis order: a prefix cut reshapes with no copy, and
-        # the order of rows and columns does not change the spectrum
-        m = psi.transpose(axes_b + axes_a[::-1]).reshape(-1, 1 << len(sites))
+        if not (1 <= sites[0] and sites[-1] <= n):
+            self._check_site(*sites)
+        p = len(sites)
+        if sites[-1] == p:
+            # the prefix 1..p: B then A is the storage order, so no transpose
+            m = self.amplitudes.reshape(-1, 1 << p)
+        else:
+            # B then A, each in axis order, as for a prefix: the order of rows
+            # and columns does not change the spectrum
+            axes_a, axes_b = _cut_axes(n, sites)
+            psi = self.amplitudes.reshape((2,) * n)
+            m = psi.transpose(axes_b + axes_a[::-1]).reshape(-1, 1 << p)
         if m.shape[0] > m.shape[1]:
             m = m.T
         rho = m @ m.conj().T
@@ -130,11 +191,20 @@ class OperatorWavefunction(GateSimulator):
         tr3 = np.vdot(rho, rho @ rho).real
         if abs(tr1 - 1.0) <= 1e-12 and tr3 - tr2 * tr2 <= 1e-12 * tr2 * tr2:
             return float(-np.log2(tr2))
-        psi = psi.transpose(axes_a + axes_b).reshape(1 << len(sites), -1)
+        axes_a, axes_b = _cut_axes(n, sites)
+        psi = self.amplitudes.reshape((2,) * n).transpose(axes_a + axes_b)
+        psi = psi.reshape(1 << p, -1)
         sv = np.linalg.svd(psi, compute_uv=False)
         probs = sv**2
         probs = probs[probs > 1e-15]
         return float(-np.sum(probs * np.log2(probs)))
+
+
+def _cut_axes(n: int, sites: List[int]) -> Tuple[List[int], List[int]]:
+    """The axes of `sites` in the `(2,)*n` tensor, one per site in its order
+    (axis j is site n - j), and the other axes in ascending order."""
+    axes_a = [n - s for s in sites]
+    return axes_a, [j for j in range(n) if j not in axes_a]
 
 
 # -- gate-algebra verification ---------------------------------------------

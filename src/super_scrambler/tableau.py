@@ -23,12 +23,19 @@ class TableauError(ValueError):
 
 @dataclass(frozen=True)
 class Region:
-    """A subset of site indices (1-based)."""
+    """A subset of site indices (1-based).
+
+    `lo` and `hi` hold its lowest and highest site (1 and 0 when it is
+    empty); they are no dataclass fields, so equality sees only `sites`.
+    """
 
     sites: frozenset
 
     def __init__(self, sites: Iterable[int]):
-        object.__setattr__(self, "sites", frozenset(site_indices(sites)))
+        sites = frozenset(site_indices(sites))
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "lo", min(sites, default=1))
+        object.__setattr__(self, "hi", max(sites, default=0))
 
     @classmethod
     def prefix(cls, p: int) -> "Region":
@@ -37,9 +44,10 @@ class Region:
         return cls(range(1, p + 1))
 
     def validate(self, n_qubits: int) -> None:
-        for s in self.sites:
-            if not 1 <= s <= n_qubits:
-                raise ValueError(f"region site {s} out of range 1..{n_qubits}")
+        """Raise on the lowest site out of 1..n_qubits, if any."""
+        if not (1 <= self.lo and self.hi <= n_qubits):
+            s = min(s for s in self.sites if not 1 <= s <= n_qubits)
+            raise ValueError(f"region site {s} out of range 1..{n_qubits}")
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -139,10 +147,16 @@ class SuperStabilizerTableau(GateSimulator):
         n = self.n_qubits
         region.validate(n)
         sites = region.sites
-        if 2 * len(sites) > n:
-            sites = set(range(1, n + 1)) - sites
-        cols = [self.x[s - 1] for s in sites] + [self.z[s - 1] for s in sites]
-        return gf2_rank(cols) - len(sites)
+        # the 0-based columns of the smaller side
+        if 2 * len(sites) <= n:
+            cols = [s - 1 for s in sites]
+        elif region.hi - region.lo + 1 == len(sites):
+            # the complement of a block: the sites below and above it
+            cols = [*range(region.lo - 1), *range(region.hi, n)]
+        else:
+            cols = [j for j in range(n) if j + 1 not in sites]
+        x, z = self.x, self.z
+        return gf2_rank([x[j] for j in cols] + [z[j] for j in cols]) - len(cols)
 
     # -- invariants --------------------------------------------------------
 

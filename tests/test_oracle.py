@@ -126,6 +126,19 @@ def reference_apply_t(amps, site):
     np.multiply(new_a0, 1.0 / np.sqrt(2.0), out=a0)
 
 
+def reference_apply_c3(amps, control, target_1, target_2):
+    """The flip `apply_c3`, kept as the reference: on the half where the
+    control slot holds Y, flip both target axes and multiply by the sign of
+    each flipped string, in place."""
+    n = len(amps).bit_length() - 1
+    on = [slice(None)] * n
+    on[n - control] = slice(1, 2)
+    sub = amps.reshape((2,) * n)[tuple(on)]
+    axes = (n - target_1, n - target_2)
+    sign = np.array([[-1.0, 1.0], [1.0, -1.0]])  # -1 where the target bits are equal
+    sub[...] = np.flip(sub, axes) * sign.reshape([2 if j in axes else 1 for j in range(n)])
+
+
 def svd_entropy_reference(psi, region):
     """The Schmidt-spectrum `entropy`, kept as the reference: the von Neumann
     entropy of the squared singular values of the amplitudes reshaped across
@@ -179,7 +192,7 @@ class TestHeisenbergReference:
         for pair in itertools.permutations(range(1, n + 1), 2):
             self.check(rng, n, dtype, "apply_swap", _SWAP, pair)
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_apply_c3_every_ordered_triple(self, n, dtype):
         rng = np.random.default_rng((3, n))
         c3 = c3_state_space_matrix()
@@ -321,6 +334,31 @@ class TestApplyC3:
             expected[out_mask] = sign
             assert np.allclose(psi.amplitudes, expected), string
 
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [(n, dtype) for n in range(3, 13) for dtype in (float, complex)] + [(16, float)],
+    )
+    def test_matches_the_flip_reference(self, n, dtype):
+        # every ordered triple up to n = 7, then every window of three
+        # adjacent sites in all 6 orientations: rows of 8 * low reals, the
+        # (-1, 8, low) view and, at the top of a large state, the flip
+        rng = np.random.default_rng((11, n))
+        if n <= 7:
+            triples = itertools.permutations(range(1, n + 1), 3)
+        else:
+            triples = [
+                tuple(base + k for k in order)
+                for base in range(1, n - 1)
+                for order in itertools.permutations(range(3))
+            ]
+        for triple in triples:
+            amps = random_amplitudes(rng, n, dtype)
+            psi = OperatorWavefunction(n, amps.copy())
+            psi.apply_c3(*triple)
+            reference_apply_c3(amps, *triple)
+            assert psi.amplitudes.dtype == dtype
+            assert np.array_equal(psi.amplitudes, amps), (n, triple)
+
     def test_decomposes_into_two_controlled_y_maps(self):
         def apply_cy(psi, control, target):
             bc, bt = 1 << (control - 1), 1 << (target - 1)
@@ -377,6 +415,15 @@ class TestNormAndEntropy:
             psi.entropy([])
         with pytest.raises(OracleError):
             psi.entropy([1, 2, 3])
+
+    @pytest.mark.parametrize("n", [3, 4, 12])
+    def test_region_site_out_of_range(self, n):
+        # the lowest bad site in sorted order is named
+        psi = OperatorWavefunction.new_all_x(n)
+        regions = [([0], 0), ([n + 1], n + 1), ([2, n + 1], n + 1), ([0, n + 1], 0), ([n + 1, 0], 0)]
+        for region, bad in regions:
+            with pytest.raises(OracleError, match=f"^site {bad} out of range 1..{n}$"):
+                psi.entropy(region)
 
     def test_non_integral_sites_rejected(self):
         psi = OperatorWavefunction.new_all_x(4)
@@ -687,3 +734,28 @@ class TestGateContracts:
         with pytest.raises(TypeError, match="not a super-gate"):
             psi.apply_gate(gate)
         assert np.array_equal(psi.amplitudes, OperatorWavefunction.new_all_x(5).amplitudes)
+
+
+@pytest.mark.parametrize("simulator", [OperatorWavefunction, SuperStabilizerTableau])
+def test_valid_sites_skip_check_site(simulator, monkeypatch):
+    # each gate, and the oracle's entropy, tests valid sites inline (the
+    # boundary sites 1 and N included) and calls `_check_site` only to word
+    # a failure
+    def counting_check_site(self, *sites):
+        calls.append(sites)
+        check_site(self, *sites)
+
+    n, calls, check_site = 4, [], simulator._check_site
+    monkeypatch.setattr(simulator, "_check_site", counting_check_site)
+    sim = simulator.new_all_x(n)
+    for method, arity in (("apply_t", 1), ("apply_swap", 2), ("apply_c3", 3)):
+        for sites in itertools.permutations(range(1, n + 1), arity):
+            getattr(sim, method)(*sites)
+    if simulator is OperatorWavefunction:
+        for k in range(1, n):
+            for region in itertools.combinations(range(1, n + 1), k):
+                sim.entropy(region)
+    assert calls == []
+    with pytest.raises(simulator.error):
+        sim.apply_t(n + 1)
+    assert calls == [(n + 1,)]
