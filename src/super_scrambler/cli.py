@@ -275,6 +275,10 @@ def cmd_ghz(args: argparse.Namespace) -> int:
 
 def cmd_random(args: argparse.Namespace) -> int:
     config, outputs, digests = random_config(args)
+    for path in filter(None, [config.output, args.manifest]):
+        folder = os.path.dirname(os.path.abspath(path))
+        if "\0" in path or os.path.isdir(path) or not os.access(folder, os.W_OK):
+            raise OSError(f"cannot write {path}")
     workers = max_workers()
     if args.oracle_check:
         if config.n_qubits > MAX_ORACLE_QUBITS:

@@ -3,9 +3,9 @@
 The operator wavefunction lives in the 2^N-dimensional space spanned by
 X/Y strings; basis index = y_mask with site i at bit i-1.  It is real
 (float64) from the all-X start, and the gates act in place on reshaped views
-of it.  T is one matrix product per call, and so is C3 on three adjacent
-sites: the window's 8x8 signed permutation, cached per orientation; a C3
-on other sites, or high in a large state, flips the target axes instead.
+of it.  T, and C3 on three adjacent sites, are one product each with the
+gate's real matrix on its window of sites, by one kernel; a C3 on sites
+that are not adjacent flips the target axes instead.
 Each gate checks its sites with one chained comparison.  The entropy checks
 a region by its ends and reshapes a prefix cut with no transpose or copy.
 Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
@@ -23,14 +23,6 @@ from .model import GateSimulator, site_indices
 
 MAX_ORACLE_QUBITS = 16
 _SQRT2 = np.sqrt(2.0)
-# T on the (X, Y) slot pair of one site: new = _T_PAIR @ old
-_T_PAIR = np.array([[1.0, 1.0], [-1.0, 1.0]]) / _SQRT2
-# the same map on rows of 8 reals, keyed by the number of reals below the
-# site's bit: where that is small, 2x2 products over the (-1, 2, low) view
-# walk an inner axis too short to be fast
-_T_ROWS = {
-    low: np.kron(np.eye(4 // low), np.kron(_T_PAIR.T, np.eye(low))) for low in (1, 2, 4)
-}
 _C3_SIGN = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
@@ -51,19 +43,21 @@ def _c3_window(control: int, target_1: int, target_2: int) -> np.ndarray:
     return m
 
 
-# one matrix per orientation, keyed by the window bits of (control, target_1,
-# target_2); and each on rows of 8 * low reals, keyed by (orientation, low)
-_C3_WINDOW = {key: _c3_window(*key) for key in itertools.permutations(range(3))}
-_C3_ROWS = {
-    (key, low): np.kron(m.T, np.eye(low)) for key, m in _C3_WINDOW.items() for low in (1, 2, 4)
+# each gate's real matrix on its window of adjacent sites, new = M @ old,
+# keyed by the gate's sites less the window's lowest: T on the (X, Y) slot
+# pair of one site, and C3 in each of its 6 orientations
+_WINDOW = {(0,): np.array([[1.0, 1.0], [-1.0, 1.0]]) / _SQRT2}
+_WINDOW.update({key: _c3_window(*key) for key in itertools.permutations(range(3))})
+# the same maps on rows of at least 8 reals, keyed by (key, low): where few
+# reals lie below the window, products over the (-1, width, low) view walk an
+# inner axis too short to be fast
+_WINDOW_ROWS = {
+    (key, low): np.kron(np.eye(max(1, 8 // (len(m) * low))), np.kron(m.T, np.eye(low)))
+    for key, m in _WINDOW.items() for low in (1, 2, 4)
 }
 # the rows product runs in BLAS calls of at most this many reals: a larger
 # call can go multithreaded, and on 2 shared cores it then ran 2-5x slower
-_C3_BLOCK = 1 << 12
-# the 8x8 product on the (-1, 8, low) view beats the flip up to this many
-# reals below the window, in a state of at most this many reals
-_C3_VIEW_MAX_LOW = 1 << 11
-_C3_VIEW_MAX_SIZE = 1 << 16
+_BLOCK = 1 << 12
 
 
 class OracleError(ValueError):
@@ -104,17 +98,23 @@ class OperatorWavefunction(GateSimulator):
         """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`: one matrix product."""
         if not 1 <= site <= self.n_qubits:
             self._check_site(site)
-        # T is real, so it acts on complex amplitudes as on pairs of reals
-        # (re, im) one bit below site 1; `low` counts the reals below the site
+        self._apply_window(site, (0,))
+
+    def _apply_window(self, base: int, key: Tuple[int, ...]) -> None:
+        """Multiply the window of sites from `base` up by `_WINDOW[key]`."""
+        # complex amplitudes as pairs of reals (re, im) one bit below site 1;
+        # `low` counts the reals below the window
         flat = self.amplitudes.view(self.amplitudes.real.dtype)
-        low = flat.size >> (self.n_qubits - site + 1)
-        if low in _T_ROWS:
-            width = min(8, flat.size)  # a state of fewer reals: the top-left block
-            rows = flat.reshape(-1, width)
-            rows[...] = rows @ _T_ROWS[low][:width, :width]
+        low = flat.size >> (self.n_qubits - base + 1)
+        if low <= 4:
+            rows_matrix = _WINDOW_ROWS[key, low]
+            width = min(len(rows_matrix), flat.size)  # fewer reals: the top-left block
+            rows = flat.reshape(-1, min(flat.size, _BLOCK) // width, width)
+            rows[...] = rows @ rows_matrix[:width, :width]
         else:
-            halves = flat.reshape(-1, 2, low)
-            halves[...] = _T_PAIR @ halves
+            m = _WINDOW[key]
+            window = flat.reshape(-1, len(m), low)
+            window[...] = m @ window
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
         n = self.n_qubits
@@ -140,19 +140,8 @@ class OperatorWavefunction(GateSimulator):
             self._check_site(control, target_1, target_2)
         base = min(control, target_1, target_2)
         if max(control, target_1, target_2) - base == 2:
-            # as in apply_t: complex amplitudes as pairs of reals, and `low`
-            # counts the reals below the window
-            flat = self.amplitudes.view(self.amplitudes.real.dtype)
-            low = flat.size >> (n - base + 1)
-            key = (control - base, target_1 - base, target_2 - base)
-            if low <= 4:
-                rows = flat.reshape(-1, min(flat.size, _C3_BLOCK) // (8 * low), 8 * low)
-                rows[...] = rows @ _C3_ROWS[key, low]
-                return
-            if low <= _C3_VIEW_MAX_LOW and flat.size <= _C3_VIEW_MAX_SIZE:
-                window = flat.reshape(-1, 8, low)
-                window[...] = _C3_WINDOW[key] @ window
-                return
+            self._apply_window(base, (control - base, target_1 - base, target_2 - base))
+            return
         on = [slice(None)] * n
         on[n - control] = slice(1, 2)
         sub = self.amplitudes.reshape((2,) * n)[tuple(on)]  # control slot holds Y

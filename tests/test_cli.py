@@ -296,6 +296,26 @@ class TestRandom:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flag, path",
+        [("--out", "missing/r.csv"), ("--out", "."), ("--out", "r\0.csv"),
+         ("--manifest", "missing/m.json")],
+        ids=["missing-folder", "folder", "nul-byte", "manifest-in-missing-folder"],
+    )
+    def test_unwritable_output_io_error_before_ensemble(
+        self, flag, path, tmp_path, capsys, monkeypatch
+    ):
+        target = str(tmp_path / path)
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        code, out, err = run_cli(
+            ["random", "--n", "6", "--steps", "5", "--reals", "1", "--seed", "1",
+             flag, target],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: cannot write {target}\n"
+
     def _first_run(self, tmp_path, capsys, *extra):
         out = tmp_path / "run.csv"
         flags = ["random", "--n", "8", "--steps", "40", "--reals", "3",

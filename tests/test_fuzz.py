@@ -1,13 +1,22 @@
 """Property-based tests: the tableau against the dense oracle on arbitrary
-programs, and the round trips of the program and stabilizer text formats.
+programs, the round trips of the program and stabilizer text formats, and
+`random` on generated flags, `--config` files and `--from-manifest` manifests.
 
 `max_examples` keeps the suite to a few seconds; the deadline is off because
 an 8-qubit example checks all 254 regions and its time varies with the load.
 """
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from super_scrambler import __version__, cli, experiments
 from super_scrambler.model import (
     C3,
     STATE_SPACE_DIRECTIVE,
@@ -95,3 +104,157 @@ def test_stabilizer_dump_round_trip(program):
     loaded = SuperStabilizerTableau.loads(text)
     assert loaded.dumps() == text
     assert loaded.stabilizers == tableau.stabilizers
+
+
+# `random` settings by flag name: values that run in milliseconds, then
+# values that every source must reject; "{dir}" is the example's directory
+SETTINGS = {
+    "n": ([3, 4, 6], [-1, 2]),
+    "steps": ([0, 3, 8], [-1]),
+    "reals": ([1, 2], [0]),
+    "seed": ([0, 3, 2**70], [-1]),
+    "cut": ([0, 1, 3], [-1, 7, 2**70]),
+    "sample_every": ([1, 2, 5], [0]),
+    "out": (
+        ["{dir}/a.csv", "{dir}/b.csv"], ["{dir}/missing/a.csv", "{dir}", "{dir}/a\0.csv"]
+    ),
+}
+FIELDS = {key: field for key, (field, _) in cli.RANDOM_KEYS.items()}
+
+
+def setting(key, *more_invalid):
+    valid, invalid = SETTINGS[key]
+    return st.sampled_from(valid * 2 + invalid + list(more_invalid))
+
+
+# one edit to a recorded manifest: a config value, which may be any JSON
+# value, or a valid cut site list in any order and with repeats; an unknown
+# or missing config key; other outputs, subcommand or version
+MANIFEST_EDITS = st.one_of(
+    st.tuples(
+        st.just("config"), st.just("cut"), st.lists(st.integers(1, 3), min_size=2, max_size=4)
+    ),
+    st.sampled_from(sorted(SETTINGS)).flatmap(
+        lambda key: st.tuples(
+            st.just("config"),
+            st.just(FIELDS[key]),
+            st.one_of(
+                setting(key),
+                st.none(), st.booleans(), st.floats(), st.text(max_size=2),
+                st.lists(st.integers(-1, 7), max_size=4),
+            ),
+        )
+    ),
+    st.tuples(st.just("config"), st.just("bogus"), st.just(1)),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(FIELDS.values()))),
+    st.tuples(st.just("outputs"), st.sampled_from(["zeroed", "none", "bad"])),
+    st.tuples(st.just("subcommand"), st.just("ghz")),
+    st.tuples(st.just("version"), st.just("0.0.0")),
+)
+
+
+@st.composite
+def random_inputs(draw):
+    """(flags, config file text or None, manifest edits or None): flags and
+    config lines each name a setting with chance `density` / 4."""
+    flags, lines = ["random"], []
+    density = draw(st.integers(0, 4))
+    for key in SETTINGS:
+        if draw(st.integers(1, 4)) <= density:
+            flags += [f"--{key.replace('_', '-')}", str(draw(setting(key)))]
+        if draw(st.integers(1, 4)) <= density:
+            lines.append(f"{key} = {draw(setting(key, 'x'))}")
+    if draw(st.booleans()):
+        flags.append("--oracle-check")
+    config = None
+    if draw(st.booleans()):
+        junk = st.sampled_from(["# note", "bogus = 1", "no equals"])
+        lines += draw(st.lists(junk, max_size=1))
+        config = "\n".join(draw(st.permutations(lines))) + "\n"
+    edits = draw(st.one_of(st.none(), st.lists(MANIFEST_EDITS, max_size=2)))
+    return flags, config, edits
+
+
+def _run(argv):
+    """`cli.main(argv)`'s exit code, with its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_inputs(), st.integers(3, 6), st.integers(0, 8), st.integers(1, 2))
+def test_random_inputs_fail_cleanly_before_any_realization(inputs, n, steps, reals):
+    """`cli.main` never raises; an exit 2 or 3 comes before any realization
+    runs; and a rerun from the manifest alone either compares every digest
+    the manifest records or exits non-zero."""
+    flags, config, edits = inputs
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SUPER_SCRAMBLER_THREADS", raising=False)
+        flags = [flag.replace("{dir}", tmp) for flag in flags]
+        if config is not None:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as f:
+                f.write(config.replace("{dir}", tmp))
+            flags += ["--config", path]
+        manifest = None
+        if edits is not None:
+            recorded = os.path.join(tmp, "run.csv")
+            argv = ["random", "--n", str(n), "--steps", str(steps),
+                    "--reals", str(reals), "--seed", "1", "--out", recorded]
+            assert _run(argv) == 0
+            manifest = recorded + ".manifest.json"
+            with open(manifest) as f:
+                record = json.load(f)
+            recorded_digests = record["outputs"]
+            for kind, *edit in edits:
+                if kind == "config":
+                    field, value = edit
+                    if isinstance(value, str):
+                        value = value.replace("{dir}", tmp)
+                    record["config"][field] = value
+                elif kind == "drop":
+                    record["config"].pop(edit[0], None)
+                elif edit == ["zeroed"]:
+                    record["outputs"] = {path: "0" * 64 for path in recorded_digests}
+                elif edit == ["none"]:
+                    record.pop("outputs", None)
+                elif edit == ["bad"]:
+                    record["outputs"] = 5
+                else:
+                    record[kind] = edit[0]
+            with open(manifest, "w") as f:
+                json.dump(record, f)
+            flags += ["--from-manifest", manifest]
+
+        realizations, compared = [], []
+        run_realization = experiments._run_realization
+        replace_if_reproduced = cli.replace_if_reproduced
+
+        def counted_realization(*args):
+            realizations.append(args)
+            return run_realization(*args)
+
+        def recorded_comparison(series, summary, outputs, digests):
+            compared.extend(digests)
+            return replace_if_reproduced(series, summary, outputs, digests)
+
+        mp.setattr(experiments, "_run_realization", counted_realization)
+        mp.setattr(cli, "replace_if_reproduced", recorded_comparison)
+        code = _run(flags)
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert not realizations, flags
+        if manifest is None:
+            return
+        # a rerun with no other source
+        realizations.clear()
+        compared.clear()
+        with open(manifest) as f:
+            record = json.load(f)
+        code = _run(["random", "--from-manifest", manifest])
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert not realizations, record
+        if code == 0:
+            assert compared == list(dict(record.get("outputs", {})).values()), record

@@ -273,9 +273,10 @@ class TestApplyT:
     def test_matches_the_elementwise_reference_at_every_site(self, dtype):
         # sites 1-3 take the product on rows of 8 reals, the others the 2x2
         # product on the (-1, 2, low) view; a complex state moves each site
-        # one bit up, and a state of fewer than 8 reals takes a smaller block
+        # one bit up, a state of fewer than 8 reals takes a smaller block, and
+        # at n = 16 the rows product runs in blocks
         rng = np.random.default_rng(9)
-        for n in range(1, 13):
+        for n in [*range(1, 13), 16]:
             for site in range(1, n + 1):
                 amps = random_amplitudes(rng, n, dtype)
                 psi = OperatorWavefunction(n, amps.copy())
@@ -336,12 +337,13 @@ class TestApplyC3:
 
     @pytest.mark.parametrize(
         "n, dtype",
-        [(n, dtype) for n in range(3, 13) for dtype in (float, complex)] + [(16, float)],
+        [(n, dtype) for n in [*range(3, 13), 16] for dtype in (float, complex)],
     )
     def test_matches_the_flip_reference(self, n, dtype):
-        # every ordered triple up to n = 7, then every window of three
-        # adjacent sites in all 6 orientations: rows of 8 * low reals, the
-        # (-1, 8, low) view and, at the top of a large state, the flip
+        # every ordered triple up to n = 7, which takes the flip where the
+        # sites are not adjacent; then every window of three adjacent sites in
+        # all 6 orientations, which takes rows of 8 * low reals in blocks, or
+        # the (-1, 8, low) view up to the top of the largest state
         rng = np.random.default_rng((11, n))
         if n <= 7:
             triples = itertools.permutations(range(1, n + 1), 3)
