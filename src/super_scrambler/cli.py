@@ -211,11 +211,18 @@ def max_workers() -> int:
     return min(workers, cpus)
 
 
+def check_writable(path: Optional[str]) -> None:
+    """Raise `OSError` if `path` is given but names no file that can be written."""
+    folder = os.path.dirname(os.path.abspath(path or os.curdir))
+    if path and ("\0" in path or os.path.isdir(path) or not os.access(folder, os.W_OK)):
+        raise OSError(f"cannot write {path}")
+
+
 def replace_if_reproduced(
     series: EntropySeries, summary: dict, outputs: List[str], digests: List[str]
 ) -> Optional[str]:
     """Write the CSV and summary into a directory beside `outputs`, compare
-    them with the recorded `digests` by position, and move them over
+    them with the recorded `digests` (if any) by position, and move them over
     `outputs` only if all match.  Returns the first output that does not
     match, whose recorded files are then left as they are."""
     parent = os.path.dirname(os.path.abspath(outputs[0]))
@@ -275,10 +282,9 @@ def cmd_ghz(args: argparse.Namespace) -> int:
 
 def cmd_random(args: argparse.Namespace) -> int:
     config, outputs, digests = random_config(args)
-    for path in filter(None, [config.output, args.manifest]):
-        folder = os.path.dirname(os.path.abspath(path))
-        if "\0" in path or os.path.isdir(path) or not os.access(folder, os.W_OK):
-            raise OSError(f"cannot write {path}")
+    if args.manifest and os.path.abspath(args.manifest) in map(os.path.abspath, outputs):
+        raise UsageError(f"--manifest {args.manifest} is also an output")
+    check_writable(config.output)
     workers = max_workers()
     if args.oracle_check:
         if config.n_qubits > MAX_ORACLE_QUBITS:
@@ -304,12 +310,7 @@ def cmd_random(args: argparse.Namespace) -> int:
         print("oracle check passed")
 
     summary = summarize(config, series)
-    mismatch = None
-    if digests:
-        mismatch = replace_if_reproduced(series, summary, outputs, digests)
-    elif outputs:
-        write_csv(series, outputs[0])
-        write_summary(summary, outputs[1])
+    mismatch = outputs and replace_if_reproduced(series, summary, outputs, digests)
     print(f"plateau: {summary['plateau']:.4f} bits")
     for key in ("growth_rate", "saturation_step", "page_value"):
         print(f"{key}: {summary[key]}")
@@ -389,6 +390,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     args._started = _utcnow()
     try:
+        check_writable(args.manifest)
         return args.func(args)
     except (
         UsageError, ProgramError, TableauError, ExperimentError, OracleError

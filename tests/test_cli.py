@@ -17,7 +17,7 @@ def run_cli(args, capsys):
 
 
 def no_ensemble(*args, **kwargs):
-    raise AssertionError("ensemble ran before the precondition check")
+    raise AssertionError("work ran before the precondition check")
 
 
 class TestVerify:
@@ -315,6 +315,40 @@ class TestRandom:
         assert code == 3
         assert out == ""
         assert err == f"error: cannot write {target}\n"
+
+    @pytest.mark.parametrize("name", ["r.csv", "r.summary.json"])
+    def test_manifest_that_is_an_output_usage_error_before_ensemble(
+        self, name, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        manifest = tmp_path / name
+        code, out, err = run_cli(
+            ["random", "--n", "6", "--steps", "20", "--reals", "2", "--seed", "1",
+             "--out", str(tmp_path / "r.csv"), "--manifest", str(manifest)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --manifest {manifest} is also an output\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_recorded_outputs(self, tmp_path, capsys, monkeypatch):
+        out, _ = self._first_run(tmp_path, capsys)
+        recorded = {path: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def full_disk(summary, path):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr("super_scrambler.cli.write_summary", full_disk)
+        code, stdout, err = run_cli(
+            ["random", "--n", "8", "--steps", "40", "--reals", "3", "--seed", "14",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err == "error: No space left on device\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == recorded
 
     def _first_run(self, tmp_path, capsys, *extra):
         out = tmp_path / "run.csv"
@@ -636,6 +670,29 @@ class TestRunProgram:
         assert code == 3
         assert out == ""
         assert err == "error: [Errno 2] No such file or directory: '/nonexistent.prog'\n"
+
+
+@pytest.mark.parametrize(
+    "path", ["missing/m.json", ".", "m\0.json"], ids=["missing-folder", "folder", "nul-byte"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["ghz", "--n", "6"], ["run-program", "{dir}/ghz.prog"]],
+    ids=["verify", "ghz", "run-program"],
+)
+def test_unwritable_manifest_io_error_before_any_work(
+    argv, path, tmp_path, capsys, monkeypatch
+):
+    for work in ("verify_gate_tables", "build_ghz_program", "parse_program"):
+        monkeypatch.setattr(f"super_scrambler.cli.{work}", no_ensemble)
+    (tmp_path / "ghz.prog").write_text("N 3\nT 1\nC3 1 2 3\n")
+    target = str(tmp_path / path)
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli([*argv, "--manifest", target], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: cannot write {target}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ghz.prog"]
 
 
 MANIFEST_KEYS = ["subcommand", "config", "version", "rng_seed", "started", "finished",

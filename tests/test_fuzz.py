@@ -1,6 +1,7 @@
 """Property-based tests: the tableau against the dense oracle on arbitrary
-programs, the round trips of the program and stabilizer text formats, and
-`random` on generated flags, `--config` files and `--from-manifest` manifests.
+programs, the round trips of the program and stabilizer text formats,
+`random` on generated flags, `--config` files and `--from-manifest` manifests,
+and `ghz` and `run-program` on generated flags, program files and manifests.
 
 `max_examples` keeps the suite to a few seconds; the deadline is off because
 an 8-qubit example checks all 254 regions and its time varies with the load.
@@ -258,3 +259,67 @@ def test_random_inputs_fail_cleanly_before_any_realization(inputs, n, steps, rea
             assert not realizations, record
         if code == 0:
             assert compared == list(dict(record.get("outputs", {})).values()), record
+
+
+# `--manifest` values: one that can be written, then three that cannot
+MANIFESTS = ["{dir}/m.json", "{dir}/missing/m.json", "{dir}", "{dir}/m\0.json"]
+
+# program lines after an "N 3" header: lines that run, then lines that a
+# program must reject
+GOOD_LINES = ["T 1", "SWAP 1 2", "C3 1 2 3", "C3 3 1 2", "# note", ""]
+BAD_LINES = ["T 0", "T 9", "SWAP 1 1", "C3 1 1 2", "X 1", "T", "T x", "N 4",
+             "@state-space-order"]
+
+
+@st.composite
+def ghz_and_program_inputs(draw):
+    """(argv, program text): a `ghz` run, or a `run-program` run of the
+    program text at "{dir}/p.prog", of a missing file or of a folder."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([3, 6, 9, 12] * 2 + [-3, 0, 4, 13]))
+        argv = ["ghz", f"--n={n}"]
+        argv += [f"--cut={cut}" for cut in draw(st.lists(st.integers(-1, 13), max_size=3))]
+        argv += ["--localized"] * draw(st.booleans())
+        text = None
+    else:
+        path = draw(st.sampled_from(["{dir}/p.prog"] * 4 + ["{dir}/q", "{dir}"]))
+        argv = ["run-program", path]
+        if draw(st.booleans()):
+            cuts = draw(st.lists(st.integers(-1, 5).map(str) | st.just(""), max_size=3))
+            argv.append(f"--entropy-cuts={','.join(cuts)}")
+        header = draw(st.sampled_from(["N 3"] * 3 + ["N 0", "N -1", ""]))
+        lines = draw(st.lists(st.sampled_from(GOOD_LINES * 4 + BAD_LINES), max_size=6))
+        text = "\n".join([header, *lines]) + "\n"
+    argv += ["--dump-stabilizers"] * draw(st.booleans())
+    manifest = draw(st.sampled_from([None, None] + MANIFESTS))
+    if manifest is not None:
+        argv += ["--manifest", manifest]
+    return argv, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(ghz_and_program_inputs())
+def test_ghz_and_run_program_inputs_fail_cleanly(inputs):
+    """`cli.main` never raises; it exits 0, 2 or 3; an unwritable manifest
+    exits 3 whatever else is wrong; and a non-zero exit prints nothing and
+    writes no manifest."""
+    argv, text = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{dir}", tmp) for arg in argv]
+        if text is not None:
+            with open(os.path.join(tmp, "p.prog"), "w") as f:
+                f.write(text)
+        listing = sorted(os.listdir(tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        manifest = argv[-1] if "--manifest" in argv else None
+        if manifest is not None and manifest != os.path.join(tmp, "m.json"):
+            assert code == 3
+            assert err.getvalue() == f"error: cannot write {manifest}\n"
+        if code:
+            assert out.getvalue() == ""
+            assert sorted(os.listdir(tmp)) == listing
+        elif manifest is not None:
+            assert sorted(os.listdir(tmp)) == sorted(listing + ["m.json"])
