@@ -7,6 +7,7 @@ bit i-1.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
@@ -85,8 +86,13 @@ GATES = {T: ("T", "apply_t"), Swap: ("SWAP", "apply_swap"), C3: ("C3", "apply_c3
 
 def validate_gate(gate: SuperGate, n_qubits: int) -> None:
     # Chained comparisons return for a valid gate; any other gate falls
-    # through to the loop below, which words the first failure.
+    # through to the loop below, which words the first failure.  A bool
+    # site is a TypeError before any range test, as for cut sites.
     kind = type(gate)
+    if kind not in GATES:
+        raise TypeError(f"not a super-gate: {gate!r}")
+    if bool in map(type, gate):
+        raise TypeError(f"gate sites must be integers, got {gate!r}")
     if kind is T:
         if 1 <= gate.site <= n_qubits:
             return
@@ -94,15 +100,13 @@ def validate_gate(gate: SuperGate, n_qubits: int) -> None:
         a, b = gate
         if 1 <= a <= n_qubits and 1 <= b <= n_qubits and a != b:
             return
-    elif kind is C3:
+    else:
         c, t1, t2 = gate
         if (
             1 <= c <= n_qubits and 1 <= t1 <= n_qubits and 1 <= t2 <= n_qubits
             and c != t1 and c != t2 and t1 != t2
         ):
             return
-    if kind not in GATES:
-        raise TypeError(f"not a super-gate: {gate!r}")
     for s in gate:
         if not 1 <= s <= n_qubits:
             raise ProgramError(f"site {s} out of range 1..{n_qubits} in {gate!r}")
@@ -128,8 +132,12 @@ class OperatorProgram:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        # one check per distinct gate object, in order of first occurrence:
+        # the tuple keeps every gate alive, so no two share an id, and equal
+        # but distinct gates such as T(1) and T(True) are each checked
+        for g in dict(zip(map(id, gates), gates)).values():
             validate_gate(g, self.n_qubits)
 
     def __len__(self) -> int:
@@ -200,8 +208,14 @@ def localize_c3(c3: C3, n_qubits: int) -> List[SuperGate]:
 def _ladder(src: int, dst: int) -> List[Swap]:
     """The adjacent SWAPs that walk the qubit at `src` to `dst`, in order."""
     if src < dst:
-        return [Swap(p, p + 1) for p in range(src, dst)]
-    return [Swap(p - 1, p) for p in range(src, dst, -1)]
+        return list(map(_adjacent_swap, range(src, dst)))
+    return list(map(_adjacent_swap, range(src - 1, dst - 1, -1)))
+
+
+@functools.cache
+def _adjacent_swap(p: int) -> Swap:
+    """`Swap(p, p + 1)`, one shared object per p."""
+    return Swap(p, p + 1)
 
 
 STATE_SPACE_DIRECTIVE = "@state-space-order"

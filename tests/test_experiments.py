@@ -59,6 +59,14 @@ class TestBuildGhzProgram:
             for g in localized_prog.gates
         )
 
+    def test_localized_swaps_are_shared(self):
+        # 40 T, 40 local C3 and the adjacent SWAPs, one object per pair of sites
+        gates = build_ghz_program(120, localized=True).gates
+        assert len(gates) == 9440
+        swaps = {id(g) for g in gates if type(g) is Swap}
+        assert len(swaps) <= 119
+        assert len({id(g) for g in gates}) == 40 + 40 + len(swaps)
+
     def test_rejects_bad_n(self):
         with pytest.raises(ExperimentError):
             build_ghz_program(4)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from super_scrambler import model
 from super_scrambler.model import (
     C3,
     STATE_SPACE_DIRECTIVE,
@@ -110,6 +111,18 @@ class TestValidateGate:
         with pytest.raises(ProgramError):
             validate_gate(Swap(2, 2), 5)
 
+    def test_bool_site_is_type_error(self):
+        with pytest.raises(TypeError, match=r"^gate sites must be integers, got T\(site=True\)$"):
+            validate_gate(T(True), 3)
+        with pytest.raises(TypeError, match="gate sites must be integers"):
+            OperatorProgram(3, (T(True), C3(1, 2, 3)))
+        # a bool is named before a site out of range
+        with pytest.raises(TypeError, match="gate sites must be integers"):
+            validate_gate(C3(9, 2, False), 3)
+
+    def test_numpy_integer_sites_accepted(self):
+        validate_gate(C3(np.int64(1), np.int32(2), np.uint8(3)), 3)
+
 
 class TestLocalizeC3:
     def test_already_adjacent(self):
@@ -171,6 +184,15 @@ class TestLocalizeC3:
         with pytest.raises(ProgramError):
             localize_c3(C3(1, 2, 9), 5)
 
+    def test_adjacent_swaps_are_shared(self):
+        # every branch of the ladder, up and down, takes the one Swap(p, p + 1)
+        seen = {}
+        for sites in itertools.permutations(range(1, 8), 3):
+            for g in localize_c3(C3(*sites), 7):
+                if type(g) is Swap:
+                    assert seen.setdefault(g, g) is g
+        assert sorted(seen) == [Swap(p, p + 1) for p in range(1, 7)]
+
 
 class TestProgramText:
     def test_round_trip(self):
@@ -222,6 +244,8 @@ def reference_gate_sites(gate):
 
 def reference_validate_gate(gate, n_qubits):
     sites = reference_gate_sites(gate)
+    if any(isinstance(s, bool) for s in sites):
+        raise TypeError(f"gate sites must be integers, got {gate!r}")
     for s in sites:
         if not 1 <= s <= n_qubits:
             raise ProgramError(f"site {s} out of range 1..{n_qubits} in {gate!r}")
@@ -410,6 +434,41 @@ class TestValidateGateMatchesReference:
     def test_non_gate_is_type_error(self):
         with pytest.raises(TypeError, match="not a super-gate: 3"):
             validate_gate(3, 4)
+
+
+def check_in_order(n_qubits, gates):
+    """The one-check rule's reference: every gate checked, in program order."""
+    for g in gates:
+        validate_gate(g, n_qubits)
+
+
+@st.composite
+def gate_tuples_with_repeats(draw):
+    """Gates that repeat one object many times, next to equal but distinct
+    objects: T(1) and T(True), two separate Swap(1, 2)."""
+    pool = draw(st.lists(any_gates(), max_size=5))
+    pool += [T(1), T(True), Swap(1, 2), Swap(1, 2)]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=20))
+    return tuple(pool[i] for i in picks)
+
+
+class TestOperatorProgramChecksOnce:
+    @settings(max_examples=400, deadline=None)
+    @given(gates=gate_tuples_with_repeats(), n=st.integers(1, 6))
+    def test_same_result_or_first_error_as_in_order_check(self, gates, n):
+        expected = outcome(check_in_order, n, gates)
+        got = outcome(OperatorProgram, n, gates)
+        if expected is None:
+            assert isinstance(got, OperatorProgram) and got.gates == gates
+        else:
+            assert got == expected
+
+    def test_one_check_per_distinct_object(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "validate_gate", lambda g, n: calls.append(g))
+        gate = T(1)
+        OperatorProgram(3, (gate,) * 1000)
+        assert calls == [gate]
 
 
 class TestParseProgramMatchesReference:
