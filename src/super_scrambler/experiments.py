@@ -13,8 +13,15 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .model import C3, OperatorProgram, SuperGate, T, localize_c3
+from .model import _MAX_QUBITS, C3, OperatorProgram, SuperGate, T, localize_c3
 from .tableau import Region, SuperStabilizerTableau
+
+# The most realizations of one ensemble: `run_random_ensemble` spawns one
+# SeedSequence per realization before any runs, 1.5 s for 10,000.
+_MAX_REALIZATIONS = 10_000
+# The most gates of a GHZ program: the localized program at n = 1,200 has
+# 958,400 and takes 1.5 s and 16 MB to build.
+_MAX_GHZ_GATES = 1_000_000
 
 
 class ExperimentError(ValueError):
@@ -43,6 +50,15 @@ class ExperimentConfig:
             raise ExperimentError("bad time_steps/realizations/sample_every")
         if self.rng_seed < 0:
             raise ExperimentError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        if self.n_qubits > _MAX_QUBITS:
+            raise ExperimentError(
+                f"n_qubits {self.n_qubits} is over the limit of {_MAX_QUBITS} qubits"
+            )
+        if self.realizations > _MAX_REALIZATIONS:
+            raise ExperimentError(
+                f"realizations {self.realizations} is over the limit of "
+                f"{_MAX_REALIZATIONS} realizations"
+            )
         if self.output is not None and not isinstance(self.output, str):
             raise ExperimentError(f"output must be a path string, got {self.output!r}")
         n = self.n_qubits
@@ -95,7 +111,18 @@ def build_ghz_program(n_qubits: int, localized: bool = False) -> OperatorProgram
     """
     if n_qubits % 3 != 0 or n_qubits < 3:
         raise ExperimentError("GHZ circuit needs n_qubits a positive multiple of 3")
+    if n_qubits > _MAX_QUBITS:
+        raise ExperimentError(
+            f"n_qubits {n_qubits} is over the limit of {_MAX_QUBITS} qubits"
+        )
     k = n_qubits // 3
+    # k T and k C3; localized, each C3 is 3k - 3 SWAPs each way around it
+    count = k + k * (6 * k - 5 if localized else 1)
+    if count > _MAX_GHZ_GATES:
+        raise ExperimentError(
+            f"the GHZ program on {n_qubits} qubits has {count} gates, "
+            f"over the limit of {_MAX_GHZ_GATES} gates"
+        )
     gates: List[SuperGate] = [T(j) for j in range(1, k + 1)]
     for j in range(1, k + 1):
         c3 = C3(j, k + j, 2 * k + j)

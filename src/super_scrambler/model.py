@@ -17,6 +17,12 @@ class ProgramError(ValueError):
     """Invalid gate indices or malformed program text."""
 
 
+# The most qubits of a program, a GHZ circuit or a random ensemble, checked
+# before anything is built: the tableau holds 2N ints of N bits, N^2/4 bytes,
+# 25 MB at this limit.
+_MAX_QUBITS = 10_000
+
+
 @dataclass(frozen=True)
 class SuperPauli:
     """A super-Pauli operator on the X/Y string space, sign untracked.
@@ -86,13 +92,17 @@ GATES = {T: ("T", "apply_t"), Swap: ("SWAP", "apply_swap"), C3: ("C3", "apply_c3
 
 def validate_gate(gate: SuperGate, n_qubits: int) -> None:
     # Chained comparisons return for a valid gate; any other gate falls
-    # through to the loop below, which words the first failure.  A bool
-    # site is a TypeError before any range test, as for cut sites.
+    # through to the loop below, which words the first failure.  A bool or
+    # non-integral site is a TypeError before any range test, by the rule
+    # for cut sites, applied to any site that is not a plain int.
     kind = type(gate)
     if kind not in GATES:
         raise TypeError(f"not a super-gate: {gate!r}")
-    if bool in map(type, gate):
-        raise TypeError(f"gate sites must be integers, got {gate!r}")
+    if not {int}.issuperset(map(type, gate)):
+        try:
+            site_indices(gate)
+        except TypeError:
+            raise TypeError(f"gate sites must be integers, got {gate!r}") from None
     if kind is T:
         if 1 <= gate.site <= n_qubits:
             return
@@ -275,6 +285,11 @@ def parse_program(text: str) -> OperatorProgram:
                 raise ProgramError(f"line {lineno}: duplicate N header")
             if len(ints) != 1 or ints[0] < 1:
                 raise ProgramError(f"line {lineno}: bad N header {line!r}")
+            if ints[0] > _MAX_QUBITS:
+                raise ProgramError(
+                    f"line {lineno}: N {ints[0]} is over the limit of "
+                    f"{_MAX_QUBITS} qubits"
+                )
             n_qubits = ints[0]
             continue
         if n_qubits is None:

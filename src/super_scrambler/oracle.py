@@ -4,8 +4,9 @@ The operator wavefunction lives in the 2^N-dimensional space spanned by
 X/Y strings; basis index = y_mask with site i at bit i-1.  It is real
 (float64) from the all-X start, and the gates act in place on reshaped views
 of it.  T, and C3 on three adjacent sites, are one product each with the
-gate's real matrix on its window of sites, by one kernel; a C3 on sites
-that are not adjacent flips the target axes instead.
+gate's real matrix on its window of sites, by one kernel; C3's windows are
+read off `C3_CONJUGATION_TABLE`, which `verify_gate_tables` checks, and
+`localize_c3` routes any other C3 onto them through adjacent SWAPs.
 Each gate checks its sites with one chained comparison.  The entropy checks
 a region by its ends and reshapes a prefix cut with no transpose or copy.
 Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
@@ -19,27 +20,35 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .model import GateSimulator, site_indices
+from .model import C3, GateSimulator, localize_c3, site_indices
 
 MAX_ORACLE_QUBITS = 16
 _SQRT2 = np.sqrt(2.0)
-_C3_SIGN = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+# Heisenberg conjugation table for C3 on 3-site X/Y strings: string -> (sign, image)
+C3_CONJUGATION_TABLE: Dict[str, Tuple[int, str]] = {
+    "XXX": (1, "XXX"),
+    "XXY": (1, "XXY"),
+    "XYX": (1, "XYX"),
+    "XYY": (1, "XYY"),
+    "YXX": (-1, "YYY"),
+    "YXY": (1, "YYX"),
+    "YYX": (1, "YXY"),
+    "YYY": (-1, "YXX"),
+}
 
 
 def _c3_window(control: int, target_1: int, target_2: int) -> np.ndarray:
     """C3 on three adjacent sites as an 8x8 signed permutation: new = M @ old.
 
-    The arguments are the sites' bits in the window's 3-bit index: with the
-    control bit set, both target bits flip and the string takes `_C3_SIGN`'s
-    sign; any other string stays.
+    The arguments are the window bits of a string's three slots, so a Y slot
+    is a set bit; each row of `C3_CONJUGATION_TABLE` sets M[image, string].
     """
+    bits = (control, target_1, target_2)
     m = np.zeros((8, 8))
-    for w in range(8):
-        if w >> control & 1:
-            out = w ^ (1 << target_1) ^ (1 << target_2)
-            m[out, w] = _C3_SIGN[out >> target_1 & 1, out >> target_2 & 1]
-        else:
-            m[w, w] = 1.0
+    for string, (sign, image) in C3_CONJUGATION_TABLE.items():
+        out, w = (sum(1 << b for b, c in zip(bits, s) if c == "Y") for s in (image, string))
+        m[out, w] = sign
     return m
 
 
@@ -127,10 +136,9 @@ class OperatorWavefunction(GateSimulator):
     def apply_c3(self, control: int, target_1: int, target_2: int) -> None:
         """Apply Y to both target slots when the control slot holds Y.
 
-        Y|X> = i|Y>, Y|Y> = -i|X>: both target bits flip, and the flipped
-        string gets the sign `_C3_SIGN[its target bits]`: -1 if they are
-        equal, +1 otherwise.  On three adjacent sites this is one product
-        with the window's signed permutation; other sites take a flip.
+        On three adjacent sites this is one product with the window's signed
+        permutation, read off `C3_CONJUGATION_TABLE`; other sites are first
+        brought together by `localize_c3`'s adjacent SWAPs, and then apart.
         """
         n = self.n_qubits
         if not (
@@ -142,12 +150,8 @@ class OperatorWavefunction(GateSimulator):
         if max(control, target_1, target_2) - base == 2:
             self._apply_window(base, (control - base, target_1 - base, target_2 - base))
             return
-        on = [slice(None)] * n
-        on[n - control] = slice(1, 2)
-        sub = self.amplitudes.reshape((2,) * n)[tuple(on)]  # control slot holds Y
-        axes = (n - target_1, n - target_2)
-        sign = _C3_SIGN.reshape([2 if j in axes else 1 for j in range(n)])
-        sub[...] = np.flip(sub, axes) * sign
+        for gate in localize_c3(C3(control, target_1, target_2), n):
+            self.apply_gate(gate)
 
     def entropy(self, region: Iterable[int]) -> float:
         """Von Neumann entropy (base 2) across the bipartition `region`."""
@@ -203,19 +207,6 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _T = np.diag([1.0, np.exp(1j * np.pi / 4)])
-
-# Heisenberg conjugation table for C3 on 3-site X/Y strings: string -> (sign, image)
-C3_CONJUGATION_TABLE: Dict[str, Tuple[int, str]] = {
-    "XXX": (1, "XXX"),
-    "XXY": (1, "XXY"),
-    "XYX": (1, "XYX"),
-    "XYY": (1, "XYY"),
-    "YXX": (-1, "YYY"),
-    "YXY": (1, "YYX"),
-    "YYX": (1, "YXY"),
-    "YYY": (-1, "YXX"),
-}
-
 
 def _kron(*mats: np.ndarray) -> np.ndarray:
     out = np.eye(1, dtype=complex)

@@ -764,3 +764,34 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "[PASS]" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ghz", "--n", "300000000"], "n_qubits 300000000 is over the limit of 10000 qubits"),
+        (["ghz", "--n", "1227", "--localized"],
+         "the GHZ program on 1227 qubits has 1002050 gates, over the limit of 1000000 gates"),
+        (["run-program", "{dir}/huge.prog"], "line 1: N 2000000 is over the limit of 10000 qubits"),
+        (["random", "--n", "300000000", "--steps", "0", "--reals", "1", "--seed", "1"],
+         "n_qubits 300000000 is over the limit of 10000 qubits"),
+        (["random", "--n", "6", "--steps", "1", "--reals", "1000000000", "--seed", "1"],
+         "realizations 1000000000 is over the limit of 10000 realizations"),
+    ],
+    ids=["ghz-qubits", "ghz-gates", "run-program-qubits", "random-qubits", "random-reals"],
+)
+def test_size_over_its_limit_usage_error_before_any_work(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    # each stub stands in for the first allocation of that size
+    monkeypatch.setattr(super_scrambler.SuperStabilizerTableau, "new_all_x", no_ensemble)
+    monkeypatch.setattr(super_scrambler.Region, "prefix", no_ensemble)
+    monkeypatch.setattr("super_scrambler.experiments.T", no_ensemble)
+    monkeypatch.setattr("super_scrambler.experiments.localize_c3", no_ensemble)
+    monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+    (tmp_path / "huge.prog").write_text("N 2000000\nT 1\n")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -71,6 +71,39 @@ class TestBuildGhzProgram:
         with pytest.raises(ExperimentError):
             build_ghz_program(4)
 
+    @pytest.mark.parametrize("n", [3, 6, 12, 60, 120])
+    def test_gate_count_of_the_limit_check(self, n):
+        # the count the gate limit reads: k T and k C3, each localized C3
+        # 3k - 3 SWAPs around a local C3 and the SWAPs undone
+        k = n // 3
+        assert len(build_ghz_program(n)) == 2 * k
+        assert len(build_ghz_program(n, localized=True)) == 6 * k * k - 4 * k
+
+    @pytest.mark.parametrize(
+        "n, localized, message",
+        [
+            (3 * 10**8, False, "n_qubits 300000000 is over the limit of 10000 qubits"),
+            (10_002, True, "n_qubits 10002 is over the limit of 10000 qubits"),
+            (1227, True, "the GHZ program on 1227 qubits has 1002050 gates, "
+                         "over the limit of 1000000 gates"),
+        ],
+    )
+    def test_size_limits_before_any_gate(self, monkeypatch, n, localized, message):
+        made = []
+        monkeypatch.setattr(experiments, "T", lambda *site: made.append(site))
+        monkeypatch.setattr(experiments, "localize_c3", lambda *c3: made.append(c3) or [])
+        with pytest.raises(ExperimentError, match=f"^{message}$"):
+            build_ghz_program(n, localized=localized)
+        assert made == []
+
+    def test_largest_programs_under_the_limits(self, monkeypatch):
+        assert len(build_ghz_program(9999)) == 6666
+        # 997,152 gates at n = 1224: counted, not built
+        localized = []
+        monkeypatch.setattr(experiments, "localize_c3", lambda *c3: localized.append(c3) or [])
+        assert len(build_ghz_program(1224, localized=True)) == 408
+        assert len(localized) == 408
+
 
 class TestRandomStep:
     def test_needs_three_qubits(self):
@@ -240,6 +273,32 @@ class TestRunRandomEnsemble:
         settings[key] = value
         with pytest.raises(ExperimentError, match=f"^{key} must be an integer, got"):
             ExperimentConfig(**settings)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_qubits", 10_001, "n_qubits 10001 is over the limit of 10000 qubits"),
+            ("n_qubits", 3 * 10**8, "n_qubits 300000000 is over the limit of 10000 qubits"),
+            ("realizations", 10_001,
+             "realizations 10001 is over the limit of 10000 realizations"),
+            ("realizations", 10**9,
+             "realizations 1000000000 is over the limit of 10000 realizations"),
+        ],
+    )
+    def test_config_size_limits_before_the_cut(self, monkeypatch, key, value, message):
+        prefixes = []
+        monkeypatch.setattr(Region, "prefix", staticmethod(prefixes.append))
+        settings = dict(n_qubits=6, time_steps=10, realizations=2, rng_seed=3)
+        settings[key] = value
+        with pytest.raises(ExperimentError, match=f"^{message}$"):
+            ExperimentConfig(**settings)
+        assert prefixes == []
+
+    def test_config_at_the_size_limits(self):
+        cfg = ExperimentConfig(
+            n_qubits=10_000, time_steps=0, realizations=10_000, rng_seed=3
+        )
+        assert len(cfg.cut) == 5000
 
     def test_config_needs_three_qubits(self):
         with pytest.raises(ExperimentError, match="^random runs need at least 3 qubits$"):

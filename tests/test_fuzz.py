@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from super_scrambler import __version__, cli, experiments
+from super_scrambler import __version__, cli, experiments, model
 from super_scrambler.model import (
     C3,
     STATE_SPACE_DIRECTIVE,
@@ -108,11 +108,12 @@ def test_stabilizer_dump_round_trip(program):
 
 
 # `random` settings by flag name: values that run in milliseconds, then
-# values that every source must reject; "{dir}" is the example's directory
+# values that every source must reject, sizes over their limits among them;
+# "{dir}" is the example's directory
 SETTINGS = {
-    "n": ([3, 4, 6], [-1, 2]),
+    "n": ([3, 4, 6], [-1, 2, 3 * 10**8]),
     "steps": ([0, 3, 8], [-1]),
-    "reals": ([1, 2], [0]),
+    "reals": ([1, 2], [0, 10**9]),
     "seed": ([0, 3, 2**70], [-1]),
     "cut": ([0, 1, 3], [-1, 7, 2**70]),
     "sample_every": ([1, 2, 5], [0]),
@@ -176,6 +177,24 @@ def random_inputs(draw):
     return flags, config, edits
 
 
+def guard_sizes(mp):
+    """Fail an example at the first allocation of a size over its limit, so
+    that a missing limit check fails the test instead of exhausting memory."""
+
+    def bounded(make, limit, size=lambda arg: arg):
+        def check(arg, *rest, **kwargs):
+            assert size(arg) <= limit, arg
+            return make(arg, *rest, **kwargs)
+        return check
+
+    qubits, tableau = model._MAX_QUBITS, SuperStabilizerTableau
+    mp.setattr(tableau, "new_all_x", bounded(tableau.new_all_x, qubits))
+    mp.setattr(Region, "prefix", bounded(Region.prefix, qubits))
+    mp.setattr(experiments, "T", bounded(experiments.T, qubits))
+    ensemble, reals = cli.run_random_ensemble, experiments._MAX_REALIZATIONS
+    mp.setattr(cli, "run_random_ensemble", bounded(ensemble, reals, lambda c: c.realizations))
+
+
 def _run(argv):
     """`cli.main(argv)`'s exit code, with its output discarded."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -192,6 +211,7 @@ def test_random_inputs_fail_cleanly_before_any_realization(inputs, n, steps, rea
     flags, config, edits = inputs
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.delenv("SUPER_SCRAMBLER_THREADS", raising=False)
+        guard_sizes(mp)
         flags = [flag.replace("{dir}", tmp) for flag in flags]
         if config is not None:
             path = os.path.join(tmp, "run.cfg")
@@ -276,7 +296,7 @@ def ghz_and_program_inputs(draw):
     """(argv, program text): a `ghz` run, or a `run-program` run of the
     program text at "{dir}/p.prog", of a missing file or of a folder."""
     if draw(st.booleans()):
-        n = draw(st.sampled_from([3, 6, 9, 12] * 2 + [-3, 0, 4, 13]))
+        n = draw(st.sampled_from([3, 6, 9, 12] * 2 + [-3, 0, 4, 13, 30_003, 3 * 10**8]))
         argv = ["ghz", f"--n={n}"]
         argv += [f"--cut={cut}" for cut in draw(st.lists(st.integers(-1, 13), max_size=3))]
         argv += ["--localized"] * draw(st.booleans())
@@ -287,7 +307,7 @@ def ghz_and_program_inputs(draw):
         if draw(st.booleans()):
             cuts = draw(st.lists(st.integers(-1, 5).map(str) | st.just(""), max_size=3))
             argv.append(f"--entropy-cuts={','.join(cuts)}")
-        header = draw(st.sampled_from(["N 3"] * 3 + ["N 0", "N -1", ""]))
+        header = draw(st.sampled_from(["N 3"] * 3 + ["N 0", "N -1", "N 2000000", ""]))
         lines = draw(st.lists(st.sampled_from(GOOD_LINES * 4 + BAD_LINES), max_size=6))
         text = "\n".join([header, *lines]) + "\n"
     argv += ["--dump-stabilizers"] * draw(st.booleans())
@@ -304,7 +324,8 @@ def test_ghz_and_run_program_inputs_fail_cleanly(inputs):
     exits 3 whatever else is wrong; and a non-zero exit prints nothing and
     writes no manifest."""
     argv, text = inputs
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        guard_sizes(mp)
         argv = [arg.replace("{dir}", tmp) for arg in argv]
         if text is not None:
             with open(os.path.join(tmp, "p.prog"), "w") as f:

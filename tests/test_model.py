@@ -119,6 +119,13 @@ class TestValidateGate:
         # a bool is named before a site out of range
         with pytest.raises(TypeError, match="gate sites must be integers"):
             validate_gate(C3(9, 2, False), 3)
+        # a non-integral site too, which the tableau would fail on later
+        with pytest.raises(TypeError, match=r"^gate sites must be integers, got T\(site=2.5\)$"):
+            validate_gate(T(2.5), 3)
+        with pytest.raises(TypeError, match="gate sites must be integers"):
+            OperatorProgram(3, (T(2.5), Swap(1.0, 2)))
+        with pytest.raises(TypeError, match="gate sites must be integers"):
+            OperatorProgram(3, (Swap(1.0, 2),))
 
     def test_numpy_integer_sites_accepted(self):
         validate_gate(C3(np.int64(1), np.int32(2), np.uint8(3)), 3)
@@ -227,6 +234,15 @@ class TestProgramText:
         with pytest.raises(ProgramError, match="out of range"):
             parse_program("N 3\nT 4\n")
 
+    def test_n_header_over_the_qubit_limit(self):
+        limit = model._MAX_QUBITS
+        assert parse_program(f"N {limit}\nT {limit}\n").n_qubits == limit
+        # rejected at the header, before the bad line after it is read
+        for n in (limit + 1, 2_000_000):
+            message = f"^line 2: N {n} is over the limit of {limit} qubits$"
+            with pytest.raises(ProgramError, match=message):
+                parse_program(f"# huge\nN {n}\nT x\n")
+
 
 # -- references: `gate_sites`, `validate_gate` and `parse_program` as they read
 # before the chained-comparison check and the per-call map of repeated lines
@@ -244,7 +260,7 @@ def reference_gate_sites(gate):
 
 def reference_validate_gate(gate, n_qubits):
     sites = reference_gate_sites(gate)
-    if any(isinstance(s, bool) for s in sites):
+    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in sites):
         raise TypeError(f"gate sites must be integers, got {gate!r}")
     for s in sites:
         if not 1 <= s <= n_qubits:

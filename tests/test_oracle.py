@@ -340,10 +340,11 @@ class TestApplyC3:
         [(n, dtype) for n in [*range(3, 13), 16] for dtype in (float, complex)],
     )
     def test_matches_the_flip_reference(self, n, dtype):
-        # every ordered triple up to n = 7, which takes the flip where the
-        # sites are not adjacent; then every window of three adjacent sites in
-        # all 6 orientations, which takes rows of 8 * low reals in blocks, or
-        # the (-1, 8, low) view up to the top of the largest state
+        # every ordered triple up to n = 7, where sites that are not adjacent
+        # are routed through adjacent SWAPs; then every window of three
+        # adjacent sites in all 6 orientations, which takes rows of 8 * low
+        # reals in blocks, or the (-1, 8, low) view up to the top of the
+        # largest state, and a few long-range triples across the whole state
         rng = np.random.default_rng((11, n))
         if n <= 7:
             triples = itertools.permutations(range(1, n + 1), 3)
@@ -353,6 +354,7 @@ class TestApplyC3:
                 for base in range(1, n - 1)
                 for order in itertools.permutations(range(3))
             ]
+            triples += [(1, n, n // 2), (n, 1, 2), (n // 2, n, 1), (n, n // 2, 1)]
         for triple in triples:
             amps = random_amplitudes(rng, n, dtype)
             psi = OperatorWavefunction(n, amps.copy())
