@@ -91,32 +91,17 @@ GATES = {T: ("T", "apply_t"), Swap: ("SWAP", "apply_swap"), C3: ("C3", "apply_c3
 
 
 def validate_gate(gate: SuperGate, n_qubits: int) -> None:
-    # Chained comparisons return for a valid gate; any other gate falls
-    # through to the loop below, which words the first failure.  A bool or
-    # non-integral site is a TypeError before any range test, by the rule
-    # for cut sites, applied to any site that is not a plain int.
-    kind = type(gate)
-    if kind not in GATES:
+    # One rule for every kind in `GATES`: a bool or non-integral site is a
+    # TypeError before any range test, by the rule for cut sites, applied to
+    # any site that is not a plain int; then the first site out of range in
+    # argument order, then a repeated site.
+    if type(gate) not in GATES:
         raise TypeError(f"not a super-gate: {gate!r}")
     if not {int}.issuperset(map(type, gate)):
         try:
             site_indices(gate)
         except TypeError:
             raise TypeError(f"gate sites must be integers, got {gate!r}") from None
-    if kind is T:
-        if 1 <= gate.site <= n_qubits:
-            return
-    elif kind is Swap:
-        a, b = gate
-        if 1 <= a <= n_qubits and 1 <= b <= n_qubits and a != b:
-            return
-    else:
-        c, t1, t2 = gate
-        if (
-            1 <= c <= n_qubits and 1 <= t1 <= n_qubits and 1 <= t2 <= n_qubits
-            and c != t1 and c != t2 and t1 != t2
-        ):
-            return
     for s in gate:
         if not 1 <= s <= n_qubits:
             raise ProgramError(f"site {s} out of range 1..{n_qubits} in {gate!r}")

@@ -777,8 +777,11 @@ class TestEntryPoint:
          "n_qubits 300000000 is over the limit of 10000 qubits"),
         (["random", "--n", "6", "--steps", "1", "--reals", "1000000000", "--seed", "1"],
          "realizations 1000000000 is over the limit of 10000 realizations"),
+        (["random", "--n", "6", "--steps", "1000000000000", "--reals", "1", "--seed", "1"],
+         "the run stores 1000000000001 entropy samples, over the limit of 10000000 samples"),
     ],
-    ids=["ghz-qubits", "ghz-gates", "run-program-qubits", "random-qubits", "random-reals"],
+    ids=["ghz-qubits", "ghz-gates", "run-program-qubits", "random-qubits", "random-reals",
+         "random-samples"],
 )
 def test_size_over_its_limit_usage_error_before_any_work(
     argv, message, tmp_path, capsys, monkeypatch

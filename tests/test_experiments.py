@@ -283,6 +283,10 @@ class TestRunRandomEnsemble:
              "realizations 10001 is over the limit of 10000 realizations"),
             ("realizations", 10**9,
              "realizations 1000000000 is over the limit of 10000 realizations"),
+            ("time_steps", 5_000_000,
+             "the run stores 10000002 entropy samples, over the limit of 10000000 samples"),
+            ("time_steps", 10**12,
+             "the run stores 2000000000002 entropy samples, over the limit of 10000000 samples"),
         ],
     )
     def test_config_size_limits_before_the_cut(self, monkeypatch, key, value, message):
@@ -299,6 +303,13 @@ class TestRunRandomEnsemble:
             n_qubits=10_000, time_steps=0, realizations=10_000, rng_seed=3
         )
         assert len(cfg.cut) == 5000
+        # exactly the most samples, in many short runs or in one long one
+        ExperimentConfig(n_qubits=6, time_steps=999, realizations=10_000, rng_seed=3)
+        ExperimentConfig(n_qubits=6, time_steps=9_999_999, realizations=1, rng_seed=3)
+        # a long run sampled sparsely stores few samples
+        ExperimentConfig(
+            n_qubits=6, time_steps=10**12, realizations=2, rng_seed=3, sample_every=10**6
+        )
 
     def test_config_needs_three_qubits(self):
         with pytest.raises(ExperimentError, match="^random runs need at least 3 qubits$"):

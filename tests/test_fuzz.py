@@ -112,7 +112,7 @@ def test_stabilizer_dump_round_trip(program):
 # "{dir}" is the example's directory
 SETTINGS = {
     "n": ([3, 4, 6], [-1, 2, 3 * 10**8]),
-    "steps": ([0, 3, 8], [-1]),
+    "steps": ([0, 3, 8], [-1, 10**13]),
     "reals": ([1, 2], [0, 10**9]),
     "seed": ([0, 3, 2**70], [-1]),
     "cut": ([0, 1, 3], [-1, 7, 2**70]),
@@ -192,7 +192,10 @@ def guard_sizes(mp):
     mp.setattr(Region, "prefix", bounded(Region.prefix, qubits))
     mp.setattr(experiments, "T", bounded(experiments.T, qubits))
     ensemble, reals = cli.run_random_ensemble, experiments._MAX_REALIZATIONS
-    mp.setattr(cli, "run_random_ensemble", bounded(ensemble, reals, lambda c: c.realizations))
+    ensemble = bounded(ensemble, reals, lambda c: c.realizations)
+    ensemble = bounded(ensemble, experiments._MAX_SAMPLES,
+                       lambda c: (c.time_steps // c.sample_every + 1) * c.realizations)
+    mp.setattr(cli, "run_random_ensemble", ensemble)
 
 
 def _run(argv):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ class TestValidateGate:
 
     def test_numpy_integer_sites_accepted(self):
         validate_gate(C3(np.int64(1), np.int32(2), np.uint8(3)), 3)
+
+    def test_one_rule_for_any_kind_in_the_table(self, monkeypatch):
+        # a kind the table gains is checked like the others, whatever its arity
+        class Quad(NamedTuple):
+            a: int
+            b: int
+            c: int
+            d: int
+
+        monkeypatch.setitem(model.GATES, Quad, ("QUAD", "apply_quad"))
+        validate_gate(Quad(1, 2, 3, 4), 4)
+        with pytest.raises(ProgramError, match=r"^site 5 out of range 1\.\.4 in Quad\("):
+            validate_gate(Quad(1, 2, 3, 5), 4)
+        with pytest.raises(ProgramError, match=r"^repeated index in Quad\("):
+            validate_gate(Quad(1, 2, 3, 3), 4)
 
 
 class TestLocalizeC3:
