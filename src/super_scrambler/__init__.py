@@ -29,6 +29,7 @@ _LAZY = {
     "EntropySeries": "experiments",
     "ExperimentConfig": "experiments",
     "ExperimentError": "experiments",
+    "OracleMismatch": "experiments",
     "build_ghz_program": "experiments",
     "circuit_stream": "experiments",
     "estimate_saturation_time": "experiments",

@@ -16,13 +16,12 @@ import tempfile
 from datetime import datetime, timezone
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import __version__
 from .experiments import (
     EntropySeries,
     ExperimentConfig,
     ExperimentError,
+    OracleMismatch,
     build_ghz_program,
     run_random_ensemble,
     summarize,
@@ -30,12 +29,7 @@ from .experiments import (
     write_summary,
 )
 from .model import OperatorProgram, ProgramError, parse_program
-from .oracle import (
-    MAX_ORACLE_QUBITS,
-    OperatorWavefunction,
-    OracleError,
-    verify_gate_tables,
-)
+from .oracle import MAX_ORACLE_QUBITS, OracleError, verify_gate_tables
 from .tableau import Region, SuperStabilizerTableau, TableauError
 
 EXIT_OK = 0
@@ -291,24 +285,15 @@ def cmd_random(args: argparse.Namespace) -> int:
             raise UsageError(f"--oracle-check requires n <= {MAX_ORACLE_QUBITS}")
         if not 0 < len(config.cut) < config.n_qubits:
             raise UsageError("--oracle-check requires a nonempty proper cut")
-    series = run_random_ensemble(config, max_workers=workers)
-
-    if args.oracle_check:
-        oracle = run_random_ensemble(
-            config, max_workers=workers, simulator=OperatorWavefunction
+    try:
+        series = run_random_ensemble(
+            config, max_workers=workers, oracle_check=args.oracle_check
         )
-        # first mismatch in realization-then-step order
-        mismatches = np.argwhere(np.abs(oracle.values - series.values).T > 1e-6)
-        if len(mismatches):
-            r, i = mismatches[0]
-            print(
-                f"oracle mismatch: realization {r} step {series.steps[i]}: "
-                f"tableau {series.values[i, r]} oracle {oracle.values[i, r]}",
-                file=sys.stderr,
-            )
-            return EXIT_FAIL
+    except OracleMismatch as e:
+        print(e, file=sys.stderr)
+        return EXIT_FAIL
+    if args.oracle_check:
         print("oracle check passed")
-
     summary = summarize(config, series)
     mismatch = outputs and replace_if_reproduced(series, summary, outputs, digests)
     print(f"plateau: {summary['plateau']:.4f} bits")

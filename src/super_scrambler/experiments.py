@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .model import _MAX_QUBITS, C3, OperatorProgram, SuperGate, T, localize_c3
+from .oracle import OperatorWavefunction
 from .tableau import Region, SuperStabilizerTableau
 
 # The most realizations of one ensemble: `run_random_ensemble` spawns one
@@ -30,6 +31,10 @@ _MAX_SAMPLES = 10_000_000
 
 class ExperimentError(ValueError):
     pass
+
+
+class OracleMismatch(Exception):
+    """A sampled entropy on which the tableau and the dense oracle differ."""
 
 
 @dataclasses.dataclass
@@ -206,28 +211,41 @@ def _run_realization(
     return out
 
 
+def _checked_realization(
+    config: ExperimentConfig, oracle_check: bool, job: Tuple[int, np.random.SeedSequence]
+) -> List[float]:
+    r, seed_seq = job
+    out = _run_realization(SuperStabilizerTableau, config, seed_seq)
+    if oracle_check:
+        oracle = _run_realization(OperatorWavefunction, config, seed_seq)
+        for i, (s, o) in enumerate(zip(out, oracle)):
+            if not abs(o - s) <= 1e-6:  # a NaN on either side is a mismatch
+                raise OracleMismatch(
+                    f"oracle mismatch: realization {r} step {i * config.sample_every}: "
+                    f"tableau {float(s)} oracle {float(o)}"
+                )
+    return out
+
+
 def run_random_ensemble(
-    config: ExperimentConfig,
-    max_workers: int = 1,
-    simulator: type = SuperStabilizerTableau,
+    config: ExperimentConfig, max_workers: int = 1, oracle_check: bool = False
 ) -> EntropySeries:
-    """Evolve `realizations` independent states and aggregate entropies.
+    """Evolve `realizations` independent tableaus and aggregate entropies.
 
     Realization r uses the r-th child of SeedSequence(rng_seed), so results
     are reproducible and independent of the worker count: min(max_workers,
-    realizations) processes, or this one if that is 1.  `simulator` is the
-    class evolved: any with `new_all_x`, `apply_t`, `apply_c3` and
-    `entropy(region)`, such as the dense `OperatorWavefunction` that
-    `--oracle-check` runs the same circuits on.
+    realizations) processes, or this one if that is 1.  With `oracle_check`,
+    each is replayed on the dense `OperatorWavefunction` in its worker; the
+    first sample off by over 1e-6 (realization, then step) raises `OracleMismatch`.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.realizations)
-    realization = functools.partial(_run_realization, simulator, config)
+    realization = functools.partial(_checked_realization, config, oracle_check)
     workers = min(max_workers, config.realizations)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(realization, children))
+            columns = list(pool.map(realization, enumerate(children)))
     else:
-        columns = [realization(child) for child in children]
+        columns = list(map(realization, enumerate(children)))
     steps = np.arange(0, config.time_steps + 1, config.sample_every)
     values = np.array(columns, dtype=float).T  # (n_samples, realizations)
     return EntropySeries(steps=steps, values=values)

@@ -226,7 +226,9 @@ class TestRandom:
         assert "nonempty proper cut" in err
 
     @pytest.mark.parametrize(
-        "offset, shown", [(1.0, "1.0"), (1e-5, "1e-05")], ids=["1.0", "1e-05"]
+        "offset, shown",
+        [(1.0, "1.0"), (1e-5, "1e-05"), (float("nan"), "nan")],
+        ids=["1.0", "1e-05", "nan"],
     )
     def test_oracle_check_mismatch_fails(self, offset, shown, capsys, monkeypatch):
         # 1e-5 is past the check's 1e-6 tolerance but inside a looser 1e-3
@@ -246,6 +248,38 @@ class TestRandom:
         assert code == 1
         assert "oracle check passed" not in out
         assert f"oracle mismatch: realization 0 step 0: tableau 0.0 oracle {shown}" in err
+
+    def test_oracle_check_stops_at_the_first_failing_realization(
+        self, capsys, monkeypatch
+    ):
+        from super_scrambler.oracle import OperatorWavefunction
+        from super_scrambler.tableau import SuperStabilizerTableau
+
+        entropy = OperatorWavefunction.entropy
+        monkeypatch.setattr(
+            OperatorWavefunction,
+            "entropy",
+            lambda self, region: entropy(self, region) + 1.0,
+        )
+        made = []
+        new_all_x = SuperStabilizerTableau.new_all_x.__func__
+
+        def counted_new_all_x(cls, n):
+            made.append(n)
+            return new_all_x(cls, n)
+
+        monkeypatch.setattr(
+            SuperStabilizerTableau, "new_all_x", classmethod(counted_new_all_x)
+        )
+        monkeypatch.setenv("SUPER_SCRAMBLER_THREADS", "1")
+        code, _, err = run_cli(
+            ["random", "--n", "6", "--steps", "30", "--reals", "3",
+             "--seed", "4", "--oracle-check"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("oracle mismatch: realization 0 step 0:")
+        assert made == [6]
 
     @pytest.mark.parametrize(
         "key, value",
@@ -592,9 +626,9 @@ class TestRandom:
         requested = []
         ensemble = cli.run_random_ensemble
 
-        def one_process(config, max_workers):
+        def one_process(config, max_workers, **kwargs):
             requested.append(max_workers)
-            return ensemble(config, max_workers=1)
+            return ensemble(config, max_workers=1, **kwargs)
 
         monkeypatch.setattr(cli, "run_random_ensemble", one_process)
         monkeypatch.setenv("SUPER_SCRAMBLER_THREADS", threads)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from super_scrambler.experiments import (
     EntropySeries,
     ExperimentConfig,
     ExperimentError,
+    OracleMismatch,
     STREAM_BLOCK,
     build_ghz_program,
     circuit_stream,
@@ -385,12 +387,28 @@ class TestRunRandomEnsemble:
         )
         assert list(cfg.cut) == [2, 3, 5]
         tableau = run_random_ensemble(cfg)
-        oracle = run_random_ensemble(
-            cfg, max_workers=workers, simulator=OperatorWavefunction
-        )
-        assert np.array_equal(oracle.steps, tableau.steps)
-        assert np.allclose(oracle.values, tableau.values, atol=1e-6, rtol=0)
+        children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.realizations)
+        for r, child in enumerate(children):
+            oracle = experiments._run_realization(OperatorWavefunction, cfg, child)
+            assert np.allclose(oracle, tableau.values[:, r], atol=1e-6, rtol=0)
+        checked = run_random_ensemble(cfg, max_workers=workers, oracle_check=True)
+        assert np.array_equal(checked.steps, tableau.steps)
+        assert np.array_equal(checked.values, tableau.values)
         assert tableau.values.max() > 0
+
+    def test_oracle_check_in_workers_keeps_the_series(self):
+        # three realizations on two workers: one worker checks two of them
+        cfg = ExperimentConfig(
+            n_qubits=8, time_steps=60, realizations=3, rng_seed=13, sample_every=2
+        )
+        checked = run_random_ensemble(cfg, max_workers=2, oracle_check=True)
+        assert np.array_equal(checked.values, run_random_ensemble(cfg).values)
+
+    def test_oracle_mismatch_survives_pickling(self):
+        # how a pool worker sends a failed check back
+        error = pickle.loads(pickle.dumps(OracleMismatch("m")))
+        assert type(error) is OracleMismatch
+        assert str(error) == "m"
 
     def test_mean_grows_on_average(self):
         cfg = ExperimentConfig(
