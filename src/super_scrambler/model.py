@@ -225,9 +225,12 @@ _GATE_NAMED = {name: kind for kind, (name, _) in GATES.items()}
 
 
 def format_program(program: OperatorProgram) -> str:
-    lines = [f"N {program.n_qubits}"]
-    lines += [_LINE_FORMATS[type(g)] % g for g in program.gates]
-    return "\n".join(lines) + "\n"
+    # one line per distinct gate object, formatted once: the tuple keeps
+    # every gate alive, so no two share an id
+    gates = program.gates
+    ids = list(map(id, gates))
+    line = {i: _LINE_FORMATS[type(g)] % g for i, g in dict(zip(ids, gates)).items()}
+    return "\n".join([f"N {program.n_qubits}", *map(line.__getitem__, ids)]) + "\n"
 
 
 def parse_program(text: str) -> OperatorProgram:

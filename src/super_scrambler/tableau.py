@@ -6,6 +6,13 @@ one N-bit int per site for the x plane and one for the z plane: bit i of
 ``x[j]`` is the X-type exponent of stabilizer i at site j+1.  Every
 super-gate is then a few swaps and XORs of whole columns.  Signs are not
 tracked; they do not affect entanglement.
+
+The entropy of a cut is a GF(2) rank, and the tableau keeps the last
+elimination, keyed by the values of its rows.  So the first cut of a state
+costs one elimination, and the nested prefix or suffix cuts after it, in
+either order, cost about one row pair each; any other cut, or any cut after
+a gate or a write to `x` or `z` that changes its rows, starts afresh.  Every
+value is the same as a rank from scratch.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence
 
-from .gf2 import gf2_rank
+from .gf2 import _RankChain, gf2_rank
 from .model import GateSimulator, SuperPauli, site_indices
 
 
@@ -84,6 +91,7 @@ class SuperStabilizerTableau(GateSimulator):
         self.n_qubits = n_qubits
         self.x = list(x)
         self.z = list(z)
+        self._chain = _RankChain()
 
     @classmethod
     def new_all_x(cls, n_qubits: int) -> "SuperStabilizerTableau":
@@ -143,20 +151,32 @@ class SuperStabilizerTableau(GateSimulator):
         for any tableau that passes `check_invariants` (N independent,
         commuting stabilizers: a pure state); `loads` and `new_all_x`
         establish that condition and every gate keeps it.
+
+        The columns go to the tableau's one `_RankChain` site by site (x_j,
+        then z_j) from the side's outer end: from site N down when it holds
+        site N but not site 1, else from its lowest site up.  So nested
+        prefix or suffix cuts of one state share one elimination.
         """
         n = self.n_qubits
         region.validate(n)
-        sites = region.sites
-        # the 0-based columns of the smaller side
-        if 2 * len(sites) <= n:
-            cols = [s - 1 for s in sites]
-        elif region.hi - region.lo + 1 == len(sites):
+        sites, lo, hi = region.sites, region.lo, region.hi
+        block = hi - lo + 1 == len(sites)
+        # the 0-based columns of the smaller side (of two halves, the one
+        # with site 1, so both calls of a pair rank the same rows), lowest first
+        if 2 * len(sites) < n or (2 * len(sites) == n and lo == 1):
+            cols = list(range(lo - 1, hi)) if block else sorted([s - 1 for s in sites])
+        elif block:
             # the complement of a block: the sites below and above it
-            cols = [*range(region.lo - 1), *range(region.hi, n)]
+            cols = [*range(lo - 1), *range(hi, n)]
         else:
             cols = [j for j in range(n) if j + 1 not in sites]
+        if cols and cols[0] and cols[-1] == n - 1:
+            cols.reverse()
         x, z = self.x, self.z
-        return gf2_rank([x[j] for j in cols] + [z[j] for j in cols]) - len(cols)
+        rows = [0] * (2 * len(cols))
+        rows[::2] = [x[j] for j in cols]
+        rows[1::2] = [z[j] for j in cols]
+        return self._chain.rank(rows) - len(cols)
 
     # -- invariants --------------------------------------------------------
 

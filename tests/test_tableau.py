@@ -7,6 +7,7 @@ import pytest
 from super_scrambler.experiments import circuit_stream
 from super_scrambler.gf2 import gf2_rank
 from super_scrambler.model import C3, OperatorProgram, SuperPauli, Swap, T
+from super_scrambler.oracle import OperatorWavefunction
 from super_scrambler.tableau import (
     Region,
     SuperStabilizerTableau,
@@ -38,6 +39,21 @@ def random_evolved(rng, n, gate_count=60):
             c, t1, t2 = rng.choice(np.arange(1, n + 1), size=3, replace=False)
             tab.apply_c3(int(c), int(t1), int(t2))
     return tab
+
+
+def rank_entropy(tab, sites):
+    """S(A) from scratch: gf2_rank of A's own 2|A| columns, minus |A|."""
+    cols = [tab.x[s - 1] for s in sites] + [tab.z[s - 1] for s in sites]
+    return gf2_rank(cols) - len(sites)
+
+
+def assert_chain_bounded(tab):
+    """The rank chain holds at most N pivots and N rows (the smaller side of
+    a cut has at most N/2 sites), and each row is a pivot or dependent."""
+    chain, n = tab._chain, tab.n_qubits
+    assert len(chain.rows) <= n and len(chain.pivots) <= n
+    assert len(chain.rows) == sum(1 for p in chain.pivots if p) + len(chain.dependent)
+    assert chain.dependent == sorted(set(chain.dependent))
 
 
 class TestNewAllX:
@@ -228,10 +244,6 @@ class TestEntropy:
     def test_both_sides_ranked_from_raw_columns(self):
         # entropy ranks only the smaller side, so S(A) = S(A-bar) is checked
         # here with gf2_rank on each side's own 2|A| columns
-        def rank_entropy(tab, sites):
-            cols = [tab.x[s - 1] for s in sites] + [tab.z[s - 1] for s in sites]
-            return gf2_rank(cols) - len(sites)
-
         rng = np.random.default_rng(43)
         for n in (7, 16, 65, 120):
             tab = random_evolved(rng, n, 8 * n)
@@ -273,6 +285,110 @@ class TestEntropy:
         tab = SuperStabilizerTableau.new_all_x(3)
         with pytest.raises(ValueError):
             tab.entropy(Region({4}))
+
+
+class TestRankChain:
+    """`entropy` reads, extends or restarts the tableau's rank chain, keyed by
+    the values of its rows; every value must equal a rank from scratch."""
+
+    @staticmethod
+    def region_run(rng, n):
+        """One run of site sets: nested cuts in some order, a block or an
+        arbitrary set with its complement, or the empty and the full region."""
+        a, b = sorted(int(v) for v in rng.integers(0, n + 1, size=2))
+        lo, hi = sorted(int(v) for v in rng.integers(1, n + 1, size=2))
+        size = int(rng.integers(0, n + 1))
+        every = set(range(1, n + 1))
+        block = set(range(lo, hi + 1))
+        arbitrary = {int(s) for s in rng.choice(np.arange(1, n + 1), size=size, replace=False)}
+        runs = [
+            [set(range(1, p + 1)) for p in range(a, b + 1)],
+            [set(range(1, p + 1)) for p in range(b, a - 1, -1)],
+            [set(range(p, n + 1)) for p in range(a + 1, b + 2)],
+            [set(range(p, n + 1)) for p in range(b + 1, a, -1)],
+            [block, every - block],
+            [every - block, block],
+            [arbitrary, every - arbitrary],
+            [set(), every],
+        ]
+        return runs[int(rng.integers(0, len(runs)))]
+
+    @pytest.mark.parametrize("n", [*range(3, 41), 120])
+    def test_calls_match_ranks_from_scratch(self, n):
+        rng = np.random.default_rng(1000 + n)
+        tab = SuperStabilizerTableau.new_all_x(n)
+        # the oracle follows every change, so its entropy is one more reference
+        psi = OperatorWavefunction.new_all_x(n) if n <= 8 else None
+
+        def apply_random_gate():
+            kind = int(rng.integers(0, 3))
+            sites = [int(s) for s in rng.choice(np.arange(1, n + 1), size=kind + 1, replace=False)]
+            gate = (T, Swap, C3)[kind](*sites)
+            tab.apply_gate(gate)
+            if psi is not None:
+                psi.apply_gate(gate)
+
+        def check(sites):
+            s = tab.entropy(Region(sites))
+            assert s == rank_entropy(tab, sites), (n, sorted(sites))
+            if psi is not None and 0 < len(sites) < n:
+                assert psi.entropy(sites) == pytest.approx(s, abs=1e-9), (n, sorted(sites))
+            assert_chain_bounded(tab)
+
+        # from a product state to a saturated one, so cuts change rank often
+        for _ in range(int(rng.integers(0, 2 * n))):
+            apply_random_gate()
+        last = set()
+        for _ in range(100):
+            for sites in self.region_run(rng, n):
+                check(sites)
+                last = sites
+            action = int(rng.integers(0, 3))
+            if action == 0:
+                apply_random_gate()
+            elif action == 1:
+                # a direct write to one column of a site, often one of the
+                # last region's, then the cuts that end at that site
+                if last and rng.integers(0, 2):
+                    j = int(rng.choice(sorted(last))) - 1
+                else:
+                    j = int(rng.integers(0, n))
+                k = int(rng.integers(0, n - 1))
+                k += k >= j
+                write = int(rng.integers(0, 3))
+                if psi is not None:
+                    # T by hand, which the oracle can follow
+                    tab.x[j], tab.z[j] = tab.z[j], tab.x[j]
+                    psi.apply_t(j + 1)
+                elif write == 0:
+                    tab.x[j] ^= tab.z[j]
+                elif write == 1:
+                    tab.z[j] ^= tab.x[j]
+                else:
+                    # CNOT from site j+1 to site k+1: of site j+1's columns
+                    # only z changes, the last row of a cut that ends there
+                    tab.x[k] ^= tab.x[j]
+                    tab.z[j] ^= tab.z[k]
+                check(set(range(1, j + 2)))
+                check(set(range(j + 1, n + 1)))
+            # the same region before and after the change
+            check(last)
+
+    @pytest.mark.parametrize("falling", [False, True])
+    def test_cuts_pattern_restarts_at_most_twice(self, falling):
+        n = 120
+        tab = random_evolved(np.random.default_rng(5), n, 8 * n)
+        assert tab.entropy(Region.prefix(n // 2)) >= n // 2 - 3
+        cuts = range(n - 1, 0, -1) if falling else range(1, n)
+        restarts, before = 0, list(tab._chain.rows)
+        for p in cuts:
+            for sites in (range(1, p + 1), range(p + 1, n + 1)):
+                tab.entropy(Region(sites))
+                rows = tab._chain.rows
+                restarts += rows[: len(before)] != before
+                before = list(rows)
+                assert_chain_bounded(tab)
+        assert restarts <= 2
 
 
 class TestRegion:
