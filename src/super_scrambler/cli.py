@@ -1,7 +1,7 @@
 """Command-line interface: verify, ghz, random, run-program.
 
-Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
-3 I/O error.
+Exit codes: 0 success, 1 verification/assertion failure or a dead pool
+worker, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 from typing import List, Optional, Sequence, Tuple
 
@@ -291,6 +292,9 @@ def cmd_random(args: argparse.Namespace) -> int:
         )
     except OracleMismatch as e:
         print(e, file=sys.stderr)
+        return EXIT_FAIL
+    except BrokenProcessPool as e:  # a worker died, as by the OOM killer
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
     if args.oracle_check:
         print("oracle check passed")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 
@@ -23,24 +22,62 @@ class ProgramError(ValueError):
 _MAX_QUBITS = 10_000
 
 
-@dataclass(frozen=True)
-class SuperPauli:
+class _Record:
+    """A frozen record of the values named in `_fields`, in constructor order,
+    as a frozen dataclass, whose module alone would double the core's import.
+
+    Equal only to a record of its own class with equal values, hashed and
+    shown by them, rebuilt through the constructor by pickle and `copy`;
+    setting or deleting an attribute raises AttributeError, so a subclass's
+    constructor sets its slots with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join([f"{k}={getattr(self, k)!r}" for k in self._fields])
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SuperPauli(_Record):
     """A super-Pauli operator on the X/Y string space, sign untracked.
 
     ``x_mask`` bit i-1 is the X-type exponent at site i, ``z_mask`` the
     Z-type exponent.
     """
 
-    n_qubits: int
-    x_mask: int
-    z_mask: int
+    __slots__ = _fields = ("n_qubits", "x_mask", "z_mask")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, x_mask: int, z_mask: int):
+        if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        top = 1 << self.n_qubits
-        if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
+        top = 1 << n_qubits
+        if not (0 <= x_mask < top and 0 <= z_mask < top):
             raise ValueError("mask out of range for n_qubits")
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "x_mask", x_mask)
+        object.__setattr__(self, "z_mask", z_mask)
 
     def label(self) -> str:
         """One character per site over {I, X, Z, Y}."""
@@ -117,23 +154,22 @@ def site_indices(sites: Iterable[int]) -> List[int]:
     return list(map(operator.index, sites))
 
 
-@dataclass(frozen=True)
-class OperatorProgram:
+class OperatorProgram(_Record):
     """Gate sequence in operator-space application order (index 0 first)."""
 
-    n_qubits: int
-    gates: Tuple[SuperGate, ...] = field(default_factory=tuple)
+    __slots__ = _fields = ("n_qubits", "gates")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, gates: Iterable[SuperGate] = ()):
+        if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        gates = tuple(self.gates)
-        object.__setattr__(self, "gates", gates)
+        gates = tuple(gates)
         # one check per distinct gate object, in order of first occurrence:
         # the tuple keeps every gate alive, so no two share an id, and equal
         # but distinct gates such as T(1) and T(True) are each checked
         for g in dict(zip(map(id, gates), gates)).values():
-            validate_gate(g, self.n_qubits)
+            validate_gate(g, n_qubits)
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:
         return len(self.gates)

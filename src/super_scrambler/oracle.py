@@ -57,12 +57,12 @@ def _c3_window(control: int, target_1: int, target_2: int) -> np.ndarray:
 # pair of one site, and C3 in each of its 6 orientations
 _WINDOW = {(0,): np.array([[1.0, 1.0], [-1.0, 1.0]]) / _SQRT2}
 _WINDOW.update({key: _c3_window(*key) for key in itertools.permutations(range(3))})
-# the same maps on rows of at least 8 reals, keyed by (key, low): where few
-# reals lie below the window, products over the (-1, width, low) view walk an
-# inner axis too short to be fast
+# the same maps on rows of at least 8 reals, keyed by (key, low), wherever
+# the window spans at most 32 reals: there, products over the (-1, width,
+# low) view walk an inner axis too short to be fast
 _WINDOW_ROWS = {
     (key, low): np.kron(np.eye(max(1, 8 // (len(m) * low))), np.kron(m.T, np.eye(low)))
-    for key, m in _WINDOW.items() for low in (1, 2, 4)
+    for key, m in _WINDOW.items() for low in (1, 2, 4, 8, 16) if len(m) * low <= 32
 }
 # the rows product runs in BLAS calls of at most this many reals: a larger
 # call can go multithreaded, and on 2 shared cores it then ran 2-5x slower
@@ -115,8 +115,8 @@ class OperatorWavefunction(GateSimulator):
         # `low` counts the reals below the window
         flat = self.amplitudes.view(self.amplitudes.real.dtype)
         low = flat.size >> (self.n_qubits - base + 1)
-        if low <= 4:
-            rows_matrix = _WINDOW_ROWS[key, low]
+        rows_matrix = _WINDOW_ROWS.get((key, low))
+        if rows_matrix is not None:
             width = min(len(rows_matrix), flat.size)  # fewer reals: the top-left block
             rows = flat.reshape(-1, min(flat.size, _BLOCK) // width, width)
             rows[...] = rows @ rows_matrix[:width, :width]

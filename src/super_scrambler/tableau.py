@@ -17,26 +17,26 @@ value is the same as a rank from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence
 
 from .gf2 import _RankChain, gf2_rank
-from .model import GateSimulator, SuperPauli, site_indices
+from .model import GateSimulator, SuperPauli, _Record, site_indices
 
 
 class TableauError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Record):
     """A subset of site indices (1-based).
 
     `lo` and `hi` hold its lowest and highest site (1 and 0 when it is
-    empty); they are no dataclass fields, so equality sees only `sites`.
+    empty); they are slots outside `_fields`, so equality, hash and repr
+    see only `sites`.
     """
 
-    sites: frozenset
+    __slots__ = ("sites", "lo", "hi")
+    _fields = ("sites",)
 
     def __init__(self, sites: Iterable[int]):
         sites = frozenset(site_indices(sites))

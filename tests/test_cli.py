@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -383,6 +385,42 @@ class TestRandom:
         assert stdout == ""
         assert err == "error: No space left on device\n"
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == recorded
+
+    def test_killed_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # as the kernel's OOM killer would end a worker: SIGKILL, no cleanup
+        from super_scrambler import cli, experiments
+
+        monkeypatch.setenv("SUPER_SCRAMBLER_THREADS", "2")
+        if cli.max_workers() < 2 or multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs two forked pool workers, which see the patch")
+        parent = os.getpid()
+
+        def killed(*args):
+            assert os.getpid() != parent, "the realization ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(experiments, "_run_realization", killed)
+        code, stdout, err = run_cli(
+            ["random", "--n", "6", "--steps", "5", "--reals", "2", "--seed", "1",
+             "--out", str(tmp_path / "run.csv")],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_leaves_no_staged_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def interrupted(summary, path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("super_scrambler.cli.write_summary", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["random", "--n", "6", "--steps", "5", "--reals", "1", "--seed", "1",
+                  "--out", str(tmp_path / "run.csv")])
+        assert list(tmp_path.iterdir()) == []
 
     def _first_run(self, tmp_path, capsys, *extra):
         out = tmp_path / "run.csv"

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from typing import NamedTuple
 
@@ -22,7 +24,7 @@ from super_scrambler.model import (
     reverse_from_state_space,
     validate_gate,
 )
-from super_scrambler.tableau import SuperStabilizerTableau
+from super_scrambler.tableau import Region, SuperStabilizerTableau
 
 
 def random_gates(rng, n, count):
@@ -72,6 +74,63 @@ class TestSuperPauliLabel:
 def test_bad_size_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+# Each record with its field values and its repr, as the frozen dataclasses
+# that these classes replaced gave them.
+RECORDS = {
+    "pauli": (SuperPauli(3, 1, 2), (3, 1, 2), "SuperPauli(n_qubits=3, x_mask=1, z_mask=2)"),
+    "program": (
+        OperatorProgram(6, (T(1), Swap(2, 3), C3(1, 3, 5))),
+        (6, (T(1), Swap(2, 3), C3(1, 3, 5))),
+        "OperatorProgram(n_qubits=6, gates=(T(site=1), Swap(site_a=2, site_b=3), "
+        "C3(control=1, target_1=3, target_2=5)))",
+    ),
+    "empty-program": (OperatorProgram(2), (2, ()), "OperatorProgram(n_qubits=2, gates=())"),
+    "region": (Region([2, 1]), (frozenset({1, 2}),), "Region(sites=frozenset({1, 2}))"),
+    "empty-region": (Region([]), (frozenset(),), "Region(sites=frozenset())"),
+}
+
+
+@pytest.mark.parametrize("record, values, text", RECORDS.values(), ids=RECORDS)
+class TestRecords:
+    def test_repr(self, record, values, text):
+        assert repr(record) == text
+
+    def test_hash_is_the_hash_of_the_field_tuple(self, record, values, text):
+        assert hash(record) == hash(values)
+
+    def test_equal_only_within_its_own_class(self, record, values, text):
+        kind = type(record)
+        subclass = type("Sub", (kind,), {"__slots__": ()})
+        assert record == kind(*values) and not record != kind(*values)
+        assert record != subclass(*values)
+        assert record != values and record.__eq__(values) is NotImplemented
+
+    def test_frozen(self, record, values, text):
+        for name in ("n_qubits", "x_mask", "z_mask", "gates", "sites", "lo", "hi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 7)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == text
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))]
+    )
+    def test_copies_are_rebuilt_through_the_constructor(self, record, values, text, clone):
+        copied = clone(record)
+        assert type(copied) is type(record) and copied == record
+        assert repr(copied) == text
+        if isinstance(record, Region):
+            assert (copied.lo, copied.hi) == (record.lo, record.hi)
+
+
+def test_records_construct_by_keyword():
+    assert SuperPauli(n_qubits=3, x_mask=1, z_mask=2) == SuperPauli(3, 1, 2)
+    assert OperatorProgram(n_qubits=2).gates == ()
+    assert OperatorProgram(n_qubits=2, gates=[T(1)]).gates == (T(1),)
+    assert Region(sites=[2, 1]) == Region([1, 2])
 
 
 class TestReverseFromStateSpace:

@@ -272,10 +272,11 @@ class TestApplyT:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matches_the_elementwise_reference_at_every_site(self, dtype):
-        # sites 1-3 take the product on rows of 8 reals, the others the 2x2
-        # product on the (-1, 2, low) view; a complex state moves each site
-        # one bit up, a state of fewer than 8 reals takes a smaller block, and
-        # at n = 16 the rows product runs in blocks
+        # sites 1-5, whose windows span at most 32 reals, take the product on
+        # rows of 8 to 32 reals, the others the 2x2 product on the (-1, 2,
+        # low) view; a complex state moves each site one bit up, a state of
+        # fewer than 8 reals takes a smaller block, and at n = 16 the rows
+        # product runs in blocks
         rng = np.random.default_rng(9)
         for n in [*range(1, 13), 16]:
             for site in range(1, n + 1):

@@ -21,7 +21,8 @@ assert tableau.entropy(ss.Region.prefix(3)) == 1
 assert ss.SuperPauli.from_label("XYZ").label() == "XYZ"
 assert ss.gf2_rank([0b11, 0b01, 0b10]) == 2
 print(" ".join(
-    name for name in ("numpy", "super_scrambler.oracle", "super_scrambler.experiments")
+    name for name in ("numpy", "super_scrambler.oracle", "super_scrambler.experiments",
+                      "dataclasses", "inspect")
     if name in sys.modules
 ))
 """
