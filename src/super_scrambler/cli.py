@@ -94,7 +94,7 @@ def load_config_file(path: str) -> dict:
     """`random` settings from flat key = value lines named like the flags,
     # comments; each value cast as `RANDOM_KEYS` says."""
     out = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -314,7 +314,7 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 
 def cmd_run_program(args: argparse.Namespace) -> int:
-    with open(args.file) as f:
+    with open(args.file, encoding="utf-8") as f:
         program = parse_program(f.read())
     cuts = args.entropy_cuts or []
     sys.stdout.write(run_tableau(program, cuts, args.dump_stabilizers))
@@ -382,7 +382,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         check_writable(args.manifest)
         return args.func(args)
     except (
-        UsageError, ProgramError, TableauError, ExperimentError, OracleError
+        UsageError, ProgramError, TableauError, ExperimentError, OracleError,
+        UnicodeDecodeError,  # a config or program file that is not UTF-8
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,7 +25,7 @@ from .model import C3, GateSimulator, localize_c3, site_indices
 MAX_ORACLE_QUBITS = 16
 _SQRT2 = np.sqrt(2.0)
 
-# Heisenberg conjugation table for C3 on 3-site X/Y strings: string -> (sign, image)
+# Heisenberg action of C3 on 3-site X/Y strings: string -> (sign, image)
 C3_CONJUGATION_TABLE: Dict[str, Tuple[int, str]] = {
     "XXX": (1, "XXX"),
     "XXY": (1, "XXY"),
@@ -77,9 +77,8 @@ class OperatorWavefunction(GateSimulator):
     """Dense amplitudes over the X/Y string basis.
 
     Every gate maps X/Y strings to X/Y strings with real coefficients, so
-    the all-X start state stays a real float64 vector; complex amplitudes
-    are accepted and stay complex.  The gates update the contiguous vector
-    in place through reshaped views; axis j of the `(2,)*N` tensor is site N - j.
+    the state is one contiguous float64 vector, which the gates update in
+    place through reshaped views; axis j of the `(2,)*N` tensor is site N - j.
     """
 
     error = OracleError
@@ -89,8 +88,9 @@ class OperatorWavefunction(GateSimulator):
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
         if not 1 <= n_qubits <= MAX_ORACLE_QUBITS:
             raise OracleError(f"n_qubits must be in 1..{MAX_ORACLE_QUBITS}")
-        amplitudes = np.asarray(amplitudes)
-        amplitudes = np.ascontiguousarray(amplitudes, np.result_type(amplitudes, float))
+        if not np.isrealobj(amplitudes):
+            raise OracleError("amplitudes must be real")
+        amplitudes = np.ascontiguousarray(amplitudes, float)
         if amplitudes.shape != (1 << n_qubits,):
             raise OracleError("amplitude vector has wrong length")
         self.n_qubits = n_qubits
@@ -111,18 +111,16 @@ class OperatorWavefunction(GateSimulator):
 
     def _apply_window(self, base: int, key: Tuple[int, ...]) -> None:
         """Multiply the window of sites from `base` up by `_WINDOW[key]`."""
-        # complex amplitudes as pairs of reals (re, im) one bit below site 1;
-        # `low` counts the reals below the window
-        flat = self.amplitudes.view(self.amplitudes.real.dtype)
-        low = flat.size >> (self.n_qubits - base + 1)
+        amps = self.amplitudes
+        low = 1 << (base - 1)  # the amplitudes below the window
         rows_matrix = _WINDOW_ROWS.get((key, low))
         if rows_matrix is not None:
-            width = min(len(rows_matrix), flat.size)  # fewer reals: the top-left block
-            rows = flat.reshape(-1, min(flat.size, _BLOCK) // width, width)
+            width = min(len(rows_matrix), amps.size)  # fewer reals: the top-left block
+            rows = amps.reshape(-1, min(amps.size, _BLOCK) // width, width)
             rows[...] = rows @ rows_matrix[:width, :width]
         else:
             m = _WINDOW[key]
-            window = flat.reshape(-1, len(m), low)
+            window = amps.reshape(-1, len(m), low)
             window[...] = m @ window
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
@@ -173,15 +171,15 @@ class OperatorWavefunction(GateSimulator):
             m = psi.transpose(axes_b + axes_a[::-1]).reshape(-1, 1 << p)
         if m.shape[0] > m.shape[1]:
             m = m.T
-        rho = m @ m.conj().T
+        rho = m @ m.T
         # A stabilizer state has a flat spectrum. (tr ρ²)² ≤ tr ρ · tr ρ³
         # (Cauchy–Schwarz) is an equality exactly when the nonzero eigenvalues
         # of ρ are equal, and then S = -log2 tr ρ²; any other state takes the SVD.
-        # tr ρ is the squared norm, and as ρ is Hermitian,
-        # tr ρ² = Σ conj(ρ_ij) ρ_ij and tr ρ³ = Σ conj(ρ_ij) ρ²_ij.
-        tr1 = np.vdot(self.amplitudes, self.amplitudes).real
-        tr2 = np.vdot(rho, rho).real
-        tr3 = np.vdot(rho, rho @ rho).real
+        # tr ρ is the squared norm, and as ρ is symmetric,
+        # tr ρ² = Σ ρ_ij ρ_ij and tr ρ³ = Σ ρ_ij ρ²_ij.
+        tr1 = np.vdot(self.amplitudes, self.amplitudes)
+        tr2 = np.vdot(rho, rho)
+        tr3 = np.vdot(rho, rho @ rho)
         if abs(tr1 - 1.0) <= 1e-12 and tr3 - tr2 * tr2 <= 1e-12 * tr2 * tr2:
             return float(-np.log2(tr2))
         axes_a, axes_b = _cut_axes(n, sites)

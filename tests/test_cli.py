@@ -172,6 +172,17 @@ class TestRandom:
         assert out == ""
         assert err == f"error: {cfg}:5: expected key = value\n"
 
+    def test_config_file_not_utf8_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n = 6\nsteps = 1\xff\nreals = 1\nseed = 5\n")
+        code, out, err = run_cli(["random", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte\n"
+        )
+
     def test_config_file_skips_blank_and_comment_lines(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# settings\n\nn = 6\n  # more\nsteps = 10\nreals = 1\nseed = 5\n")
@@ -736,6 +747,16 @@ class TestRunProgram:
         assert code == 2
         assert out == ""
         assert err == "error: cut 5 out of range 0..3\n"
+
+    def test_file_not_utf8_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.prog"
+        path.write_bytes(b"N 3\nT 1\xff\n")
+        code, out, err = run_cli(["run-program", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+        )
 
     def test_missing_file_is_io_error(self, capsys):
         code, out, err = run_cli(["run-program", "/nonexistent.prog"], capsys)

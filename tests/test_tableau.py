@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from super_scrambler.experiments import circuit_stream
+from super_scrambler.experiments import build_ghz_program, circuit_stream
 from super_scrambler.gf2 import gf2_rank
 from super_scrambler.model import C3, OperatorProgram, SuperPauli, Swap, T
 from super_scrambler.oracle import OperatorWavefunction
@@ -45,6 +45,49 @@ def rank_entropy(tab, sites):
     """S(A) from scratch: gf2_rank of A's own 2|A| columns, minus |A|."""
     cols = [tab.x[s - 1] for s in sites] + [tab.z[s - 1] for s in sites]
     return gf2_rank(cols) - len(sites)
+
+
+def stabilizer_rows(tab):
+    """One row of 2N bits per stabilizer, read off the tableau's columns:
+    site j's x and z exponents at bits 2j - 2 and 2j - 1."""
+    n = tab.n_qubits
+    return [
+        sum((tab.x[j] >> a & 1) << 2 * j | (tab.z[j] >> a & 1) << 2 * j + 1 for j in range(n))
+        for a in range(n)
+    ]
+
+
+def echelon_ends(rows, highest=True):
+    """The site of each pivot after eliminating `rows` by their highest set
+    bit (right ends) or their lowest (left ends); dependent rows cancel."""
+    pivots = {}
+    for row in rows:
+        while row:
+            bit = row.bit_length() - 1 if highest else (row & -row).bit_length() - 1
+            if bit not in pivots:
+                pivots[bit] = row
+                break
+            row ^= pivots[bit]
+    return [bit // 2 + 1 for bit in pivots]
+
+
+def profile_reference(tab):
+    """S(p) for p = 0..N from one right-end echelon: the stabilizers on
+    sites 1..p span the rows whose right end is at most p, and
+    S(p) = p - that dimension."""
+    ends = echelon_ends(stabilizer_rows(tab))
+    return [p - sum(end <= p for end in ends) for p in range(tab.n_qubits + 1)]
+
+
+def gauge_end_counts(rows, n):
+    """Left ends plus right ends at each site: exactly 2 at every site for a
+    pure stabilizer state in the clipped gauge (Nahum, Ruhman, Vijay & Haah,
+    PRX 7, 031016, 2017)."""
+    counts = [0] * n
+    for highest in (True, False):
+        for site in echelon_ends(rows, highest):
+            counts[site - 1] += 1
+    return counts
 
 
 def assert_chain_bounded(tab):
@@ -389,6 +432,62 @@ class TestRankChain:
                 before = list(rows)
                 assert_chain_bounded(tab)
         assert restarts <= 2
+
+
+class TestEntropyProfile:
+    """Every prefix entropy S(p), p = 0..N, against `profile_reference`,
+    which shares no code with `entropy` or `gf2`."""
+
+    @staticmethod
+    def states():
+        """Random-circuit states at depths 0, 5, N and 4N, each layer N steps
+        of T + C3, so the deepest are saturated; then the GHZ states."""
+        for n in [*range(3, 41), 120]:
+            for depth in (0, 5, n, 4 * n):
+                tab = SuperStabilizerTableau.new_all_x(n)
+                rng = np.random.default_rng((n, depth))
+                for t_site, control, target_1, target_2 in circuit_stream(rng, n, depth * n):
+                    tab.apply_t(t_site)
+                    tab.apply_c3(control, target_1, target_2)
+                yield f"random n={n} depth={depth}", tab
+        for n in (60, 120):
+            for localized in (False, True):
+                tab = SuperStabilizerTableau.new_all_x(n)
+                tab.apply_program(build_ghz_program(n, localized))
+                yield f"GHZ n={n} localized={localized}", tab
+
+    def test_every_prefix_in_either_order_and_after_a_round_trip(self):
+        saturated = 0
+        for name, tab in self.states():
+            n = tab.n_qubits
+            want = profile_reference(tab)
+            assert want[0] == want[n] == 0, name
+            # rising then falling on the state, falling then rising on its
+            # round trip: the chain is read, extended and restarted
+            copy = SuperStabilizerTableau.loads(tab.dumps())
+            for t, order in ((tab, range(n + 1)), (copy, range(n, -1, -1))):
+                first = {p: t.entropy(Region.prefix(p)) for p in order}
+                second = {p: t.entropy(Region.prefix(p)) for p in reversed(order)}
+                assert [first[p] for p in range(n + 1)] == want, name
+                assert second == first, name
+            saturated += want[n // 2] >= n // 2 - 3
+        assert saturated > 40  # most deep random states are near the Page value
+
+    def test_ghz_profile_steps_by_one_per_site_of_the_first_block(self):
+        for n in (60, 120):
+            tab = SuperStabilizerTableau.new_all_x(n)
+            tab.apply_program(build_ghz_program(n, localized=True))
+            k = n // 3
+            assert profile_reference(tab)[: k + 1] == list(range(k + 1))
+
+    def test_clipped_gauge_has_two_ends_at_every_site(self):
+        for name, tab in self.states():
+            n = tab.n_qubits
+            rows = stabilizer_rows(tab)
+            assert gauge_end_counts(rows, n) == [2] * n, name
+            # a stabilizer replaced by a copy of another leaves a mixed state
+            broken = [rows[1]] + rows[1:]
+            assert gauge_end_counts(broken, n) != [2] * n, name
 
 
 class TestRegion:
