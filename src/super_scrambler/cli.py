@@ -102,7 +102,10 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key in out:
+                raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = value
     unknown = sorted(set(out) - set(RANDOM_KEYS))
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
@@ -314,11 +317,16 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 
 def cmd_run_program(args: argparse.Namespace) -> int:
+    cuts = None if args.entropy_cuts is None else args.entropy_cuts.split(",")
+    for k, item in enumerate(cuts or []):
+        try:
+            cuts[k] = int(item)
+        except ValueError:
+            raise UsageError(f"--entropy-cuts: bad cut {item!r}")
     with open(args.file, encoding="utf-8") as f:
         program = parse_program(f.read())
-    cuts = args.entropy_cuts or []
-    sys.stdout.write(run_tableau(program, cuts, args.dump_stabilizers))
-    write_manifest(args, {"file": args.file, "entropy_cuts": args.entropy_cuts})
+    sys.stdout.write(run_tableau(program, cuts or [], args.dump_stabilizers))
+    write_manifest(args, {"file": args.file, "entropy_cuts": cuts})
     return EXIT_OK
 
 
@@ -362,11 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-program", help="apply a program file to the all-X tableau")
     p.add_argument("file")
-    p.add_argument(
-        "--entropy-cuts",
-        type=lambda s: [int(x) for x in s.split(",") if x],
-        help="comma-separated prefix cut sizes",
-    )
+    p.add_argument("--entropy-cuts", help="comma-separated prefix cut sizes")
     p.add_argument("--dump-stabilizers", action="store_true")
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_run_program)

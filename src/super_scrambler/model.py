@@ -82,9 +82,8 @@ class SuperPauli(_Record):
     def label(self) -> str:
         """One character per site over {I, X, Z, Y}."""
         n = self.n_qubits
-        xs = format(self.x_mask, f"0{n}b")[::-1]
-        zs = format(self.z_mask, f"0{n}b")[::-1]
-        return "".join([_LABEL_CHAR[xz] for xz in zip(xs, zs)])
+        xs, zs = (int(format(m, f"0{n}b"), 8) for m in (self.x_mask, self.z_mask))
+        return format(xs + 2 * zs, f"0{n}o")[::-1].translate(_LABEL_CHAR)
 
     @classmethod
     def from_label(cls, label: str) -> "SuperPauli":
@@ -96,8 +95,8 @@ class SuperPauli(_Record):
         return cls(len(label), x_mask, z_mask)
 
 
-# label characters by (x bit, z bit), and the per-plane bits of each character
-_LABEL_CHAR = {("0", "0"): "I", ("1", "0"): "X", ("0", "1"): "Z", ("1", "1"): "Y"}
+# label characters by octal digit x + 2z, and the per-plane bits of each character
+_LABEL_CHAR = str.maketrans("0123", "IXZY")
 _DROP_LABEL_CHARS = str.maketrans("", "", "IXZY")
 _X_BIT = str.maketrans("IXZY", "0101")
 _Z_BIT = str.maketrans("IXZY", "0011")

@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Sequence
 
 from .gf2 import _RankChain, gf2_rank
-from .model import GateSimulator, SuperPauli, _Record, site_indices
+from .model import (_DROP_LABEL_CHARS, _LABEL_CHAR, _MAX_QUBITS, _X_BIT, _Z_BIT,
+                    GateSimulator, SuperPauli, _Record, site_indices)
 
 
 class TableauError(ValueError):
@@ -200,7 +201,14 @@ class SuperStabilizerTableau(GateSimulator):
 
     def dumps(self) -> str:
         """One stabilizer per line over {I, X, Z, Y}, final newline included."""
-        return "\n".join(sp.label() for sp in self.stabilizers) + "\n"
+        # octal digit j*n + i of x + 2z is the label of stabilizer i at site j+1
+        n = self.n_qubits
+        x, z = (int("".join([format(c, f"0{n}b")[::-1] for c in cols]), 8)
+                for cols in (self.x, self.z))
+        digits = format(x + 2 * z, f"0{n * n}o").translate(_LABEL_CHAR)
+        rows = [digits[i::n] for i in range(n)]
+        del digits  # so at most two N^2-char strings are held at once
+        return "\n".join(rows + [""])
 
     @classmethod
     def loads(cls, text: str) -> "SuperStabilizerTableau":
@@ -210,18 +218,21 @@ class SuperStabilizerTableau(GateSimulator):
         n = len(lines[0])
         if n == 0:
             raise TableauError("empty stabilizer line")
+        if n > _MAX_QUBITS:
+            raise TableauError(f"line length {n} is over the limit of {_MAX_QUBITS} qubits")
         if len(lines) != n:
             raise TableauError(f"expected {n} lines of length {n}, got {len(lines)}")
-        xs, zs = [], []
         for i, line in enumerate(lines):
             if len(line) != n:
                 raise TableauError(f"line {i + 1}: length {len(line)}, expected {n}")
-            try:
-                sp = SuperPauli.from_label(line)
-            except ValueError as e:
-                raise TableauError(f"line {i + 1}: {e}")
-            xs.append(sp.x_mask)
-            zs.append(sp.z_mask)
-        tab = cls(n, _transpose(xs, n), _transpose(zs, n))
+            bad = line.translate(_DROP_LABEL_CHARS)
+            if bad:
+                raise TableauError(f"line {i + 1}: bad stabilizer character {bad[0]!r}")
+        # reversed, char j*n + k is stabilizer n-1-j at site n-k: every n-th
+        # char from n-1-j is then column j, most significant bit first
+        labels = "".join(lines)[::-1]
+        x, z = ([int(plane[n - 1 - j::n], 2) for j in range(n)]
+                for plane in (labels.translate(_X_BIT), labels.translate(_Z_BIT)))
+        tab = cls(n, x, z)
         tab.check_invariants()
         return tab

@@ -172,6 +172,25 @@ class TestRandom:
         assert out == ""
         assert err == f"error: {cfg}:5: expected key = value\n"
 
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            ("n = 6\nsteps = 1\nreals = 1\nseed = 5\nn = 9\n", 5, "n"),
+            ("n = 6\nsample-every = 2\n# again\nsample_every = 3\n", 4, "sample_every"),
+        ],
+        ids=["same-spelling", "dash-and-underscore"],
+    )
+    def test_config_file_duplicate_key_usage_error(
+        self, text, line, key, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(["random", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}:{line}: duplicate key {key!r}\n"
+
     def test_config_file_not_utf8_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
         cfg = tmp_path / "run.cfg"
@@ -747,6 +766,17 @@ class TestRunProgram:
         assert code == 2
         assert out == ""
         assert err == "error: cut 5 out of range 0..3\n"
+
+    @pytest.mark.parametrize("cuts, item", [(",,", ""), ("1,,2", ""), ("", ""),
+                                            ("1,", ""), ("a", "a"), ("1,2.5", "2.5")])
+    def test_bad_entropy_cut_item_usage_error(self, cuts, item, capsys, monkeypatch):
+        # checked before the program file is read: this one does not exist
+        monkeypatch.setattr("super_scrambler.cli.parse_program", no_ensemble)
+        argv = ["run-program", "/nonexistent.prog", "--entropy-cuts", cuts]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --entropy-cuts: bad cut {item!r}\n"
 
     def test_file_not_utf8_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.prog"

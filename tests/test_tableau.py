@@ -12,6 +12,7 @@ from super_scrambler.tableau import (
     Region,
     SuperStabilizerTableau,
     TableauError,
+    _transpose,
 )
 
 
@@ -551,6 +552,103 @@ class TestSerialization:
             SuperStabilizerTableau.loads(text)
 
 
+def reference_dumps(tab):
+    """The dump read off the columns one bit at a time: stabilizer i's
+    character at site j + 1 is "IXZY"[x bit + 2 * z bit]."""
+    n = tab.n_qubits
+    return "".join(
+        "".join(["IXZY"[(tab.x[j] >> i & 1) + 2 * (tab.z[j] >> i & 1)] for j in range(n)])
+        + "\n"
+        for i in range(n)
+    )
+
+
+def reference_loads(text):
+    """The columns of a well-formed dump: `SuperPauli.from_label` per line,
+    then one transpose per plane."""
+    rows = [SuperPauli.from_label(line) for line in text.splitlines()]
+    n = len(rows)
+    return _transpose([r.x_mask for r in rows], n), _transpose([r.z_mask for r in rows], n)
+
+
+def codec_states(n):
+    """All-X, a random evolution, and for N a multiple of 3 the direct and
+    the localized GHZ states."""
+    evolved = SuperStabilizerTableau.new_all_x(n)
+    if n >= 3:
+        evolved = random_evolved(np.random.default_rng(n), n, 4 * n)
+    else:
+        evolved.apply_program(OperatorProgram(n, (T(1),) + (Swap(1, 2),) * (n - 1)))
+    states = [SuperStabilizerTableau.new_all_x(n), evolved]
+    for localized in (False, True) if n % 3 == 0 else ():
+        ghz = SuperStabilizerTableau.new_all_x(n)
+        ghz.apply_program(build_ghz_program(n, localized))
+        states.append(ghz)
+    return states
+
+
+# Malformed dumps and the message of each; with two faults, the first in
+# line order wins, and within one line the length is checked before the
+# characters.
+MALFORMED_DUMPS = [
+    ("", "empty stabilizer dump"),
+    ("\n", "empty stabilizer line"),
+    ("\nXZ", "empty stabilizer line"),
+    ("ZII\nIZI\n", "expected 3 lines of length 3, got 2"),
+    ("ZII\nIZI\nIIZ\n\n", "expected 3 lines of length 3, got 4"),
+    ("QII\nIZI\n", "expected 3 lines of length 3, got 2"),
+    ("ZII\nIZ\nIIZ\n", "line 2: length 2, expected 3"),
+    ("ZII\nIZIZ\nIIZ\n", "line 2: length 4, expected 3"),
+    ("ZII\nIQI\nIIZ\n", "line 2: bad stabilizer character 'Q'"),
+    ("ZII\nIZI\nIIz\n", "line 3: bad stabilizer character 'z'"),
+    ("ZII\nI I\nIIZ\n", "line 2: bad stabilizer character ' '"),
+    ("ZII\nI\u00e9I\nIIZ\n", "line 2: bad stabilizer character '\u00e9'"),
+    ("ZII\nIQ\nIIZ\n", "line 2: length 2, expected 3"),
+    ("ZII\nIQI\nIZ\n", "line 2: bad stabilizer character 'Q'"),
+    ("ZII\nIZ\nIQI\n", "line 2: length 2, expected 3"),
+    ("ZQI\nIZI\nQIZ\n", "line 1: bad stabilizer character 'Q'"),
+    ("ZII\nZII\nIIZ\n", "stabilizers are GF(2)-dependent"),
+    ("III\nIZI\nIIZ\n", "stabilizers are GF(2)-dependent"),
+    ("XII\nZII\nIIZ\n", "stabilizers 0 and 1 anticommute"),
+    ("ZIII\nIZII\nIIZQ\nIIZ\n", "line 3: bad stabilizer character 'Q'"),
+]
+
+
+class TestCodecParity:
+    """`dumps` and `loads` against their one-stabilizer-at-a-time definitions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 120, 300])
+    def test_matches_reference(self, n):
+        for tab in codec_states(n):
+            text = tab.dumps()
+            assert text == reference_dumps(tab)
+            assert text == "\n".join(sp.label() for sp in tab.stabilizers) + "\n"
+            loaded = SuperStabilizerTableau.loads(text)
+            assert (loaded.x, loaded.z) == reference_loads(text) == (tab.x, tab.z)
+            assert loaded.dumps() == text
+
+    def test_other_line_breaks_load_alike(self):
+        tab = random_evolved(np.random.default_rng(8), 7)
+        text = tab.dumps()
+        for variant in (text.rstrip("\n"), text.replace("\n", "\r\n")):
+            loaded = SuperStabilizerTableau.loads(variant)
+            assert (loaded.x, loaded.z) == (tab.x, tab.z)
+
+    @pytest.mark.parametrize("text, message", MALFORMED_DUMPS)
+    def test_malformed_dump_message(self, text, message):
+        with pytest.raises(TableauError) as caught:
+            SuperStabilizerTableau.loads(text)
+        assert str(caught.value) == message
+
+    def test_over_the_qubit_limit_rejected_first(self, monkeypatch):
+        # the first line's length alone decides: no other line is checked
+        # and the invariants never run
+        monkeypatch.setattr(SuperStabilizerTableau, "check_invariants", None)
+        with pytest.raises(TableauError) as caught:
+            SuperStabilizerTableau.loads("Z" * 10_001 + "\nQ\n")
+        assert str(caught.value) == "line length 10001 is over the limit of 10000 qubits"
+
+
 def expected_gate_error(sites, n, distinct_message):
     """The rejection a gate on `sites` must raise, or None: the first site
     outside 1..n in argument order, then a coincident pair."""
@@ -633,6 +731,14 @@ class TestGateCheckCatchesMutants:
         unmutated = DroppedXorTableau.new_all_x(6)
         apply_checked(unmutated, self.PROGRAM)
         assert unmutated.dumps() == real.dumps()
+
+    @pytest.mark.parametrize("dropped", range(5))
+    def test_dropped_xor_dump_is_rejected_by_loads(self, dropped):
+        mutant = DroppedXorTableau.new_all_x(6)
+        mutant.dropped = dropped
+        mutant.apply_program(self.PROGRAM)
+        with pytest.raises(TableauError, match="anticommute"):
+            SuperStabilizerTableau.loads(mutant.dumps())
 
     @pytest.mark.parametrize("dropped", range(5))
     def test_dropped_xor_is_caught(self, dropped):
