@@ -22,7 +22,6 @@ from .gf2 import gf2_rank
 # The numpy-backed names, imported from their submodule on first access
 # (PEP 562), so that the pure-Python core above loads without numpy.
 _LAZY = {
-    "GateTableReport": "oracle",
     "OperatorWavefunction": "oracle",
     "OracleError": "oracle",
     "verify_gate_tables": "oracle",
@@ -35,7 +34,6 @@ _LAZY = {
     "estimate_saturation_time": "experiments",
     "fit_growth_rate": "experiments",
     "page_value": "experiments",
-    "random_step": "experiments",
     "run_random_ensemble": "experiments",
 }
 

@@ -258,15 +258,16 @@ def run_tableau(program: OperatorProgram, cuts: List[int], dump: bool) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_gate_tables()
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report, indent=2))
     else:
-        for check in report.checks:
-            status = "PASS" if check.passed else "FAIL"
-            print(f"[{status}] {check.name}  (max deviation {check.max_deviation:.3e})")
-        for note in report.notes:
+        for check in report["checks"]:
+            status = "PASS" if check["passed"] else "FAIL"
+            deviation = check["max_deviation"]
+            print(f"[{status}] {check['name']}  (max deviation {deviation:.3e})")
+        for note in report["notes"]:
             print(f"note: {note}")
     write_manifest(args, {"json": args.json})
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    return EXIT_OK if report["all_passed"] else EXIT_FAIL
 
 
 def cmd_ghz(args: argparse.Namespace) -> int:

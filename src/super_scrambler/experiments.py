@@ -96,16 +96,17 @@ class ExperimentConfig:
 
 @dataclasses.dataclass
 class EntropySeries:
-    """Sampled entropy per step: one column per realization."""
+    """Sampled entropy per step: one column per realization; `mean` and
+    `stderr` are computed once, on first use."""
 
     steps: np.ndarray  # (n_samples,)
     values: np.ndarray  # (n_samples, realizations)
 
-    @property
+    @functools.cached_property
     def mean(self) -> np.ndarray:
         return self.values.mean(axis=1)
 
-    @property
+    @functools.cached_property
     def stderr(self) -> np.ndarray:
         r = self.values.shape[1]
         if r < 2:

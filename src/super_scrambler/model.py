@@ -259,6 +259,14 @@ _LINE_FORMATS = {
 _GATE_NAMED = {name: kind for kind, (name, _) in GATES.items()}
 
 
+def _split_lines(text: str) -> List[str]:
+    r"""A line ends only at "\n" or "\r\n", and the last one's break is optional."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def format_program(program: OperatorProgram) -> str:
     # one line per distinct gate object, formatted once: the tuple keeps
     # every gate alive, so no two share an id
@@ -282,7 +290,7 @@ def parse_program(text: str) -> OperatorProgram:
     # raw gate line -> its gate, stored once it has parsed and passed its
     # check; N is set by then and cannot change, so a repeat is that gate
     parsed: Dict[str, SuperGate] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_split_lines(text), start=1):
         gate = parsed.get(raw)
         if gate is not None:
             gates.append(gate)

@@ -15,7 +15,6 @@ Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -251,48 +250,20 @@ def c3_state_space_matrix() -> np.ndarray:
     )
 
 
-@dataclass
-class IdentityCheck:
-    name: str
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation < self.tolerance
-
-
-@dataclass
-class GateTableReport:
-    checks: List[IdentityCheck] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [{**asdict(c), "passed": c.passed} for c in self.checks],
-            "notes": self.notes,
-        }
-
-
-def verify_gate_tables() -> GateTableReport:
+def verify_gate_tables() -> dict:
     """Verify the state-space gate algebra that underpins the super-gate set.
 
     Checks the T-gate conjugation of X and Y, the SWAP string exchange,
     and all 8 signed rows of the C3 conjugation table built from the
     CX/CZ/T factorization; also confirms C3 conjugation never leaves the
-    X/Y string subspace.  Each deviation must be below 1e-12.
+    X/Y string subspace.  Each deviation must be below 1e-12.  Returns the
+    `verify --json` document, in plain Python values.
     """
     tolerance = 1e-12
-    report = GateTableReport()
+    deviations = []  # (name, max deviation), one per check in order
 
     def check(name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
-        dev = float(np.abs(lhs - rhs).max())
-        report.checks.append(IdentityCheck(name, dev, tolerance))
+        deviations.append((name, float(np.abs(lhs - rhs).max())))
 
     check("T† X T = (X - Y)/√2", _T.conj().T @ _X @ _T, (_X - _Y) / _SQRT2)
     check("T† Y T = (X + Y)/√2", _T.conj().T @ _Y @ _T, (_X + _Y) / _SQRT2)
@@ -324,11 +295,14 @@ def verify_gate_tables() -> GateTableReport:
             coeff = np.trace(_pauli_string(label).conj().T @ conj) / 8
             if abs(coeff) > tolerance and any(c in "IZ" for c in label):
                 leak = max(leak, abs(coeff))
-    report.checks.append(
-        IdentityCheck("C3 conjugation stays in the X/Y string subspace", leak, tolerance)
-    )
-    report.notes.append(
-        "C3 factorization read as a left-to-right matrix product; the reversed "
-        "reading yields the same conjugation table."
-    )
-    return report
+    deviations.append(("C3 conjugation stays in the X/Y string subspace", float(leak)))
+    checks = [{"name": name, "max_deviation": dev, "tolerance": tolerance,
+               "passed": dev < tolerance} for name, dev in deviations]
+    return {
+        "all_passed": all(c["passed"] for c in checks),
+        "checks": checks,
+        "notes": [
+            "C3 factorization read as a left-to-right matrix product; the "
+            "reversed reading yields the same conjugation table."
+        ],
+    }

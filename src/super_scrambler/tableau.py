@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, List, Sequence
 
 from .gf2 import _RankChain, gf2_rank
 from .model import (_DROP_LABEL_CHARS, _LABEL_CHAR, _MAX_QUBITS, _X_BIT, _Z_BIT,
-                    GateSimulator, SuperPauli, _Record, site_indices)
+                    GateSimulator, SuperPauli, _Record, _split_lines, site_indices)
 
 
 class TableauError(ValueError):
@@ -212,7 +212,7 @@ class SuperStabilizerTableau(GateSimulator):
 
     @classmethod
     def loads(cls, text: str) -> "SuperStabilizerTableau":
-        lines = text.splitlines()
+        lines = _split_lines(text)
         if not lines:
             raise TableauError("empty stabilizer dump")
         n = len(lines[0])

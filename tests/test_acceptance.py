@@ -22,7 +22,7 @@ from super_scrambler.experiments import (
 from super_scrambler.model import Swap
 from super_scrambler.oracle import OperatorWavefunction, verify_gate_tables
 from super_scrambler.tableau import Region, SuperStabilizerTableau
-from test_oracle import check_stabilized_reference
+from reference import check_stabilized_reference
 
 
 def report(name, ok, margins=()):
@@ -50,15 +50,15 @@ def test_gate_algebra_conformance():
     start = time.perf_counter()
     rep = verify_gate_tables()
     elapsed = time.perf_counter() - start
-    identity_checks = rep.checks[:11]  # 2 T lines, 1 SWAP line, 8 C3 rows
+    identity_checks = rep["checks"][:11]  # 2 T lines, 1 SWAP line, 8 C3 rows
     ok = (
         len(identity_checks) == 11
-        and all(c.max_deviation < 1e-12 for c in identity_checks)
-        and rep.all_passed
+        and all(c["max_deviation"] < 1e-12 for c in identity_checks)
+        and rep["all_passed"]
         and elapsed < 1.0
     )
-    worst = max((c.max_deviation for c in identity_checks), default=float("nan"))
-    least = min(c.tolerance - c.max_deviation for c in rep.checks)
+    worst = max((c["max_deviation"] for c in identity_checks), default=float("nan"))
+    least = min(c["tolerance"] - c["max_deviation"] for c in rep["checks"])
     margins = [
         ("1e-12 - max identity deviation", 1e-12 - worst),
         ("min(tolerance - deviation)", least),

@@ -30,7 +30,7 @@ from super_scrambler.model import (
 )
 from super_scrambler.oracle import OperatorWavefunction
 from super_scrambler.tableau import Region, SuperStabilizerTableau
-from test_oracle import check_stabilized_reference, svd_entropy_reference
+from reference import check_stabilized_reference, svd_entropy_reference
 
 
 @st.composite

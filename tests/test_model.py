@@ -291,6 +291,15 @@ class TestProgramText:
         prog = parse_program(text)
         assert prog.gates == (C3(1, 2, 3), T(1))
 
+    def test_only_newline_ends_a_line(self):
+        # "\r\n" is one line break; any other line-break character stays
+        # inside its line and fails that line's own check
+        assert parse_program("N 2\r\nT 1\r\nT 2").gates == (T(1), T(2))
+        for line in ("T 1\x1cT 2", "T 1\rT 2", "T 1\u2028T 2"):
+            with pytest.raises(ProgramError) as e:
+                parse_program(f"N 2\n{line}\n")
+            assert str(e.value) == f"line 2: non-integer argument in {line!r}"
+
     def test_repeated_index_reports_line(self):
         with pytest.raises(ProgramError, match="line 2.*repeated"):
             parse_program("N 3\nC3 1 1 2\n")

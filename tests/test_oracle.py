@@ -8,8 +8,6 @@ import pytest
 from super_scrambler.model import C3, OperatorProgram, SuperPauli, Swap, T
 from super_scrambler.oracle import (
     C3_CONJUGATION_TABLE,
-    GateTableReport,
-    IdentityCheck,
     MAX_ORACLE_QUBITS,
     OperatorWavefunction,
     OracleError,
@@ -20,12 +18,19 @@ from super_scrambler.oracle import (
     _pauli_string,
 )
 from super_scrambler import experiments
+from super_scrambler.cli import main
 from super_scrambler.experiments import (
     ExperimentConfig,
     build_ghz_program,
     run_random_ensemble,
 )
 from super_scrambler.tableau import Region, SuperStabilizerTableau
+from reference import (
+    apply_super_pauli_reference,
+    check_stabilized_reference,
+    expected_gate_error,
+    svd_entropy_reference,
+)
 
 
 def random_program(rng, n, gate_count=40):
@@ -65,31 +70,6 @@ def random_amplitudes(rng, n, dtype):
     if dtype is complex:
         amps = amps + 1j * rng.normal(size=1 << n)
     return amps
-
-
-def apply_super_pauli_reference(amps, stabilizer):
-    """The SuperPauli's action by index arithmetic: X-type factors flip basis
-    bits, Z-type factors give (-1)^bit phases."""
-    idx = np.arange(len(amps))
-    zpar = np.zeros(len(idx), dtype=np.int64)
-    for p in range(stabilizer.n_qubits):
-        if (stabilizer.z_mask >> p) & 1:
-            zpar ^= (idx >> p) & 1
-    phase = np.where(zpar == 1, -1.0, 1.0)
-    out = np.empty_like(amps)
-    out[idx ^ stabilizer.x_mask] = phase * amps
-    return out
-
-
-def check_stabilized_reference(psi, stabilizer):
-    """"plus", "minus" or "not_stabilized": whether `stabilizer` fixes the
-    oracle state `psi` up to its untracked global sign, by index arithmetic."""
-    out = apply_super_pauli_reference(psi.amplitudes, stabilizer)
-    if np.allclose(out, psi.amplitudes, atol=1e-9):
-        return "plus"
-    if np.allclose(out, -psi.amplitudes, atol=1e-9):
-        return "minus"
-    return "not_stabilized"
 
 
 def reference_embed(mat, qubits, n):
@@ -138,21 +118,6 @@ def reference_apply_c3(amps, control, target_1, target_2):
     axes = (n - target_1, n - target_2)
     sign = np.array([[-1.0, 1.0], [1.0, -1.0]])  # -1 where the target bits are equal
     sub[...] = np.flip(sub, axes) * sign.reshape([2 if j in axes else 1 for j in range(n)])
-
-
-def svd_entropy_reference(psi, region):
-    """The Schmidt-spectrum `entropy`, kept as the reference: the von Neumann
-    entropy of the squared singular values of the amplitudes reshaped across
-    the cut, for any state, flat spectrum or not."""
-    n = psi.n_qubits
-    sites = sorted(set(region))
-    axes_a = [n - s for s in sites]
-    axes_b = [j for j in range(n) if j not in axes_a]
-    m = psi.amplitudes.reshape((2,) * n).transpose(axes_a + axes_b)
-    sv = np.linalg.svd(m.reshape(1 << len(sites), -1), compute_uv=False)
-    probs = sv**2
-    probs = probs[probs > 1e-15]
-    return float(-np.sum(probs * np.log2(probs)))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -638,11 +603,11 @@ class TestCheckStabilized:
 class TestVerifyGateTables:
     def test_all_identities_pass(self):
         report = verify_gate_tables()
-        assert report.all_passed
+        assert report["all_passed"] is True
         # 2 T lines + 1 SWAP line + 8 C3 rows + subspace closure
-        assert len(report.checks) == 12
-        for check in report.checks:
-            assert check.max_deviation < 1e-12, check.name
+        assert len(report["checks"]) == 12
+        for check in report["checks"]:
+            assert check["max_deviation"] < 1e-12, check["name"]
 
     def test_corrupted_c3_convention_fails_named_rows(self):
         # dropping the T^6 factors breaks the signed rows
@@ -658,40 +623,37 @@ class TestVerifyGateTables:
                 broken.append(string)
         assert broken  # the report would name these rows
 
-    def test_report_serializes(self):
-        d = verify_gate_tables().to_dict()
+    def test_report_serializes(self, capsys):
+        d = verify_gate_tables()
+        assert main(["verify", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == d
         assert d["all_passed"] is True
         assert all("name" in c and "max_deviation" in c for c in d["checks"])
 
-    def test_report_dict_key_order(self):
-        report = GateTableReport(
-            checks=[IdentityCheck("a", 0.5, 1.0), IdentityCheck("b", 2.0, 1.0)],
-            notes=["n"],
-        )
-        expected = {
-            "all_passed": False,
-            "checks": [
-                {"name": "a", "max_deviation": 0.5, "tolerance": 1.0, "passed": True},
-                {"name": "b", "max_deviation": 2.0, "tolerance": 1.0, "passed": False},
-            ],
-            "notes": ["n"],
-        }
-        assert json.dumps(report.to_dict()) == json.dumps(expected)
+    def test_leaking_c3_fails_json_cleanly(self, monkeypatch, capsys):
+        # a C3 with weight off the X/Y strings: every C3 row and the closure
+        # check fail, and the document still serializes in its key order
+        real = c3_state_space_matrix()
+        leaky = real @ (np.eye(8) + 1e-3 * _pauli_string("XII"))
+        monkeypatch.setattr("super_scrambler.oracle.c3_state_space_matrix", lambda: leaky)
+        assert main(["verify", "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        d = json.loads(out)
+        assert list(d) == ["all_passed", "checks", "notes"]
+        assert d["all_passed"] is False
+        assert len(d["checks"]) == 12
+        for check in d["checks"]:
+            assert list(check) == ["name", "max_deviation", "tolerance", "passed"]
+            assert check["passed"] is (check["max_deviation"] < 1e-12)
+        closure = d["checks"][-1]
+        assert closure["name"] == "C3 conjugation stays in the X/Y string subspace"
+        assert closure["passed"] is False
+        assert closure["max_deviation"] > 1e-4
 
     def test_c3_matrix_is_unitary(self):
         c3 = c3_state_space_matrix()
         assert np.allclose(c3 @ c3.conj().T, np.eye(8), atol=1e-12)
-
-
-def expected_gate_error(sites, n, distinct_message):
-    """The rejection a gate on `sites` must raise, or None: the first site
-    outside 1..n in argument order, then a coincident pair."""
-    for s in sites:
-        if not 1 <= s <= n:
-            return f"site {s} out of range 1..{n}"
-    if len(set(sites)) != len(sites):
-        return distinct_message
-    return None
 
 
 class TestGateContracts:

@@ -14,6 +14,7 @@ from super_scrambler.tableau import (
     TableauError,
     _transpose,
 )
+from reference import expected_gate_error
 
 
 def tableau_from_labels(labels):
@@ -589,7 +590,8 @@ def codec_states(n):
 
 # Malformed dumps and the message of each; with two faults, the first in
 # line order wins, and within one line the length is checked before the
-# characters.
+# characters.  A line ends only at "\n" or "\r\n": any other line-break
+# character, a lone "\r" included, stays inside its line.
 MALFORMED_DUMPS = [
     ("", "empty stabilizer dump"),
     ("\n", "empty stabilizer line"),
@@ -611,6 +613,12 @@ MALFORMED_DUMPS = [
     ("III\nIZI\nIIZ\n", "stabilizers are GF(2)-dependent"),
     ("XII\nZII\nIIZ\n", "stabilizers 0 and 1 anticommute"),
     ("ZIII\nIZII\nIIZQ\nIIZ\n", "line 3: bad stabilizer character 'Q'"),
+    ("X\x85\nZX\n", "line 1: bad stabilizer character '\\x85'"),
+    ("XI\nI\x0b\n", "line 2: bad stabilizer character '\\x0b'"),
+    ("ZI\x1cIZ\n", "expected 5 lines of length 5, got 1"),
+    ("ZI\u2028IZ\n", "expected 5 lines of length 5, got 1"),
+    ("ZI\r\r\nIZ\n", "expected 3 lines of length 3, got 2"),
+    ("XI\r\nIX\r", "line 2: length 3, expected 2"),
 ]
 
 
@@ -647,17 +655,6 @@ class TestCodecParity:
         with pytest.raises(TableauError) as caught:
             SuperStabilizerTableau.loads("Z" * 10_001 + "\nQ\n")
         assert str(caught.value) == "line length 10001 is over the limit of 10000 qubits"
-
-
-def expected_gate_error(sites, n, distinct_message):
-    """The rejection a gate on `sites` must raise, or None: the first site
-    outside 1..n in argument order, then a coincident pair."""
-    for s in sites:
-        if not 1 <= s <= n:
-            return f"site {s} out of range 1..{n}"
-    if len(set(sites)) != len(sites):
-        return distinct_message
-    return None
 
 
 class TestGateContracts:
