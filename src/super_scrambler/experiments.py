@@ -9,6 +9,8 @@ import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -24,8 +26,8 @@ _MAX_REALIZATIONS = 10_000
 # 958,400 and takes 1.5 s and 16 MB to build.
 _MAX_GHZ_GATES = 1_000_000
 # The most entropy samples of one ensemble, (time_steps // sample_every + 1)
-# per realization, all held until the run ends: `random` peaks at 218 MB for
-# 10,000 realizations of 999 steps, 366 MB for one of 9,999,999.
+# per realization, all held until the run ends: `random --n 3` peaks at 195 MB
+# for 10,000 realizations of 999 steps, 329 MB for one of 9,999,999.
 _MAX_SAMPLES = 10_000_000
 
 
@@ -198,33 +200,35 @@ def circuit_stream(
 
 def _run_realization(
     simulator: type, config: ExperimentConfig, seed_seq: np.random.SeedSequence
-) -> List[float]:
+) -> np.ndarray:
+    """The entropy at step 0 and every `sample_every` steps; none drawn past the last."""
     region, sample_every = config.cut, config.sample_every
-    rng = np.random.default_rng(seed_seq)
+    out = np.empty(config.time_steps // sample_every + 1)
     state = simulator.new_all_x(config.n_qubits)
-    out = [state.entropy(region)]
-    steps = circuit_stream(rng, config.n_qubits, config.time_steps)
-    for step, (t_site, control, target_1, target_2) in enumerate(steps, start=1):
-        state.apply_t(t_site)
-        state.apply_c3(control, target_1, target_2)
-        if step % sample_every == 0:
-            out.append(state.entropy(region))
+    apply_t, apply_c3 = state.apply_t, state.apply_c3
+    rng = np.random.default_rng(seed_seq)
+    steps = circuit_stream(rng, config.n_qubits, (len(out) - 1) * sample_every)
+    for i in range(len(out)):
+        out[i] = state.entropy(region)
+        for t_site, control, target_1, target_2 in islice(steps, sample_every):
+            apply_t(t_site)
+            apply_c3(control, target_1, target_2)
     return out
 
 
 def _checked_realization(
     config: ExperimentConfig, oracle_check: bool, job: Tuple[int, np.random.SeedSequence]
-) -> List[float]:
+) -> np.ndarray:
     r, seed_seq = job
     out = _run_realization(SuperStabilizerTableau, config, seed_seq)
     if oracle_check:
         oracle = _run_realization(OperatorWavefunction, config, seed_seq)
-        for i, (s, o) in enumerate(zip(out, oracle)):
-            if not abs(o - s) <= 1e-6:  # a NaN on either side is a mismatch
-                raise OracleMismatch(
-                    f"oracle mismatch: realization {r} step {i * config.sample_every}: "
-                    f"tableau {float(s)} oracle {float(o)}"
-                )
+        bad = np.flatnonzero(~(abs(oracle - out) <= 1e-6))  # a NaN on either side is bad
+        if bad.size:
+            raise OracleMismatch(
+                f"oracle mismatch: realization {r} step {bad[0] * config.sample_every}: "
+                f"tableau {float(out[bad[0]])} oracle {float(oracle[bad[0]])}"
+            )
     return out
 
 
@@ -239,17 +243,15 @@ def run_random_ensemble(
     each is replayed on the dense `OperatorWavefunction` in its worker; the
     first sample off by over 1e-6 (realization, then step) raises `OracleMismatch`.
     """
-    children = np.random.SeedSequence(config.rng_seed).spawn(config.realizations)
+    jobs = enumerate(np.random.SeedSequence(config.rng_seed).spawn(config.realizations))
     realization = functools.partial(_checked_realization, config, oracle_check)
     workers = min(max_workers, config.realizations)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(realization, enumerate(children)))
-    else:
-        columns = list(map(realization, enumerate(children)))
     steps = np.arange(0, config.time_steps + 1, config.sample_every)
-    values = np.array(columns, dtype=float).T  # (n_samples, realizations)
-    return EntropySeries(steps=steps, values=values)
+    columns = np.empty((config.realizations, len(steps)))  # filled as each arrives
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for r, column in enumerate((pool.map if pool else map)(realization, jobs)):
+            columns[r] = column
+    return EntropySeries(steps=steps, values=columns.T)
 
 
 def plateau_estimate(series: EntropySeries) -> float:

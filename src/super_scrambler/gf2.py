@@ -10,16 +10,17 @@ class _RankChain:
     """A GF(2) elimination that can be resumed, keyed by its rows' values.
 
     Word-parallel elimination: each XOR cancels a whole packed row at once;
-    pivots sit in a list indexed by their highest set bit, 0 for an empty
-    slot.  `rows` are the rows taken so far and `dependent` the indices of
-    those that cancelled to 0, so the first k rows have rank k minus the
+    pivots sit in a list indexed by their bit length, 0 for an empty slot.
+    Slot 0 stays 0, a sentinel that stops a row's reduction once it is 0.
+    `rows` are the rows taken so far and `dependent` the indices of those
+    that cancelled to 0, so the first k rows have rank k minus the
     dependent indices below k.
     """
 
     __slots__ = ("rows", "pivots", "dependent")
 
     def __init__(self) -> None:
-        self.rows, self.pivots, self.dependent = [], [], []
+        self.rows, self.pivots, self.dependent = [], [0], []
 
     def rank(self, rows: List[int]) -> int:
         """The rank of `rows`: read off when they lead `self.rows`, by
@@ -35,16 +36,13 @@ class _RankChain:
         pivots, dependent = self.pivots, self.dependent
         rank = len(self.rows) - len(dependent)
         self.rows += rows
-        pivots += [0] * (max(rows).bit_length() - len(pivots))
+        pivots += [0] * (max(rows).bit_length() + 1 - len(pivots))
         for row in rows:
-            while row:
-                h = row.bit_length() - 1
-                p = pivots[h]
-                if not p:
-                    pivots[h] = row
-                    rank += 1
-                    break
+            while p := pivots[row.bit_length()]:
                 row ^= p
+            if row:
+                pivots[row.bit_length()] = row
+                rank += 1
             else:
                 dependent.append(rank + len(dependent))
         return rank

@@ -359,25 +359,38 @@ class TestRunRandomEnsemble:
         parallel = run_random_ensemble(ExperimentConfig(**cfg), max_workers=2)
         assert np.array_equal(serial.values, parallel.values)
 
-    def test_matches_oracle_co_run(self):
+    @pytest.mark.parametrize(
+        "time_steps, sample_every",
+        # 53 steps sampled every 5 drop a tail of 3; 4 sampled every 7 draw none
+        [(50, 5), (53, 5), (4, 7), (30, 1)],
+        ids=["whole-blocks", "dropped-tail", "one-sample", "every-step"],
+    )
+    def test_matches_oracle_co_run(self, time_steps, sample_every):
         cfg = ExperimentConfig(
-            n_qubits=6, time_steps=50, realizations=3, rng_seed=21, sample_every=5
+            n_qubits=6, time_steps=time_steps, realizations=3, rng_seed=21,
+            sample_every=sample_every,
         )
         series = run_random_ensemble(cfg)
+        assert np.array_equal(series.steps, np.arange(0, time_steps + 1, sample_every))
         children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.realizations)
         for r, child in enumerate(children):
+            oracle = experiments._run_realization(OperatorWavefunction, cfg, child)
+            # the scalar reference: one `random_step` per step on both simulators
             rng = np.random.default_rng(child)
+            tab = SuperStabilizerTableau.new_all_x(6)
             psi = OperatorWavefunction.new_all_x(6)
-            sample = 0
+            tableau_ref, oracle_ref = [], []
             for step in range(cfg.time_steps + 1):
                 if step > 0:
                     for gate in random_step(rng, 6):
+                        tab.apply_gate(gate)
                         psi.apply_gate(gate)
                 if step % cfg.sample_every == 0:
-                    assert series.values[sample, r] == pytest.approx(
-                        psi.entropy([1, 2, 3]), abs=1e-6
-                    )
-                    sample += 1
+                    tableau_ref.append(tab.entropy(cfg.cut))
+                    oracle_ref.append(psi.entropy([1, 2, 3]))
+            assert series.values[:, r].tolist() == tableau_ref
+            assert np.allclose(oracle, oracle_ref, atol=1e-6, rtol=0)
+            assert np.allclose(oracle, tableau_ref, atol=1e-6, rtol=0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_oracle_simulator_matches_tableau(self, workers):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from super_scrambler.gf2 import gf2_rank
+from super_scrambler.gf2 import _RankChain, gf2_rank
 
 
 def pack_bit_matrix(matrix):
@@ -98,3 +98,21 @@ def test_pack_bit_matrix_roundtrip():
     m = np.array([[1, 0, 1], [0, 1, 1]])
     assert pack_bit_matrix(m) == [0b101, 0b110]
     assert gf2_rank([0b101, 0b110]) == 2
+
+
+def test_chain_extended_by_wider_rows_matches_naive_oracle():
+    # one chain fed ever longer prefixes whose new rows are wider each call,
+    # so its pivot list grows mid-chain; zero rows lead and sit between calls
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        chain, rows = _RankChain(), [0]
+        assert chain.rank(rows) == 0
+        for width in (3, 8, 40, 64, 65, 130):
+            rows.append(0)
+            for _ in range(int(rng.integers(1, 12))):
+                bits = rng.integers(0, 2, size=width - 1)
+                rows.append(int("1" + "".join(map(str, bits)), 2))
+                if rng.integers(0, 4) == 0:
+                    rows.append(rows[int(rng.integers(0, len(rows)))] ^ rows[-1])
+            assert chain.rank(list(rows)) == naive_rank(unpack_rows(rows))
+            assert len(chain.pivots) == width + 1 and chain.pivots[0] == 0

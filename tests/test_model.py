@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -353,11 +354,20 @@ def reference_validate_gate(gate, n_qubits):
         raise ProgramError(f"repeated index in {gate!r}")
 
 
+def reference_lines(text):
+    r"""A line ends only at "\n" or "\r\n", and the last one's break is
+    optional: "\r", "\x0b", "\x1c", "\x85" and "\u2028" stay inside a line."""
+    lines = re.split(r"\r?\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def reference_parse_program(text):
     state_space = False
     n_qubits = None
     gates = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(reference_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -459,7 +469,9 @@ def any_gates(draw):
     return cls(*draw(st.lists(SITE_VALUES, min_size=arity, max_size=arity)))
 
 
-SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+# Each ends a line for `str.splitlines`, but not in a program.
+INLINE_BREAKS = ["\r", "\x0b", "\x1c", "\x85", "\u2028"]
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", *INLINE_BREAKS])
 
 
 KIND_SPELLINGS = {1: ["T", "t"], 2: ["SWAP", "swap", "Swap"], 3: ["C3", "c3"]}
@@ -508,7 +520,9 @@ def program_texts(draw):
     """A text drawn from a few distinct lines, each used any number of times,
     usually after an optional directive and an N header."""
     n = draw(st.integers(1, 6))
-    pool = draw(st.lists(gate_lines(n), min_size=1, max_size=8))
+    # now and then two lines run together with an inline break between them
+    joined = st.tuples(gate_lines(n), st.sampled_from(INLINE_BREAKS), gate_lines(n))
+    pool = draw(st.lists(gate_lines(n) | joined.map("".join), min_size=1, max_size=8))
     body = draw(st.lists(st.sampled_from(pool), max_size=12)) * draw(st.integers(1, 4))
     head = draw(st.sampled_from(
         [[], [f"N {n}"], [f"N {n}"], [f"N {n}"], [STATE_SPACE_DIRECTIVE, f"N {n}"]]

@@ -93,10 +93,12 @@ def gauge_end_counts(rows, n):
 
 
 def assert_chain_bounded(tab):
-    """The rank chain holds at most N pivots and N rows (the smaller side of
-    a cut has at most N/2 sites), and each row is a pivot or dependent."""
+    """The rank chain holds at most N rows (the smaller side of a cut has at
+    most N/2 sites) and N + 1 pivot slots, indexed by bit length with slot 0
+    the empty sentinel, and each row is a pivot or dependent."""
     chain, n = tab._chain, tab.n_qubits
-    assert len(chain.rows) <= n and len(chain.pivots) <= n
+    assert len(chain.rows) <= n and len(chain.pivots) <= n + 1
+    assert chain.pivots[0] == 0
     assert len(chain.rows) == sum(1 for p in chain.pivots if p) + len(chain.dependent)
     assert chain.dependent == sorted(set(chain.dependent))
 
