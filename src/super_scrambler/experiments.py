@@ -112,7 +112,9 @@ class EntropySeries:
     def stderr(self) -> np.ndarray:
         r = self.values.shape[1]
         if r < 2:
-            return np.zeros(len(self.steps))
+            # one realization has no spread: a read-only 0 of stride 0, no
+            # array per sample
+            return np.broadcast_to(0.0, self.steps.shape)
         return self.values.std(axis=1, ddof=1) / math.sqrt(r)
 
     @property
@@ -180,6 +182,11 @@ def circuit_stream(
     `rng` runs up to one block ahead of the yielded steps: draw nothing else
     from it while the stream is in use.  Once it is exhausted, `rng` is where
     `steps` successive `random_step` calls would leave it.
+
+    Each block is range-checked before any of its steps is yielded, since
+    the tableau's block kernel takes them unchecked: a T site in 1..N, a
+    window start in 1..N-2 and a control slot in 0..2, which put the three
+    C3 sites in 1..N and apart.
     """
     if n_qubits < 3:
         raise ExperimentError("random step needs at least 3 qubits")
@@ -189,7 +196,10 @@ def circuit_stream(
     lows, highs = [1, 1, 0], [n_qubits + 1, n_qubits - 1, 3]
     for start in range(0, steps, STREAM_BLOCK):
         k = min(STREAM_BLOCK, steps - start)
-        t_site, base, slot = rng.integers(lows, highs, size=(k, 3)).T
+        draw = rng.integers(lows, highs, size=(k, 3))
+        if ((draw < lows) | (draw >= highs)).any():
+            raise ExperimentError(f"a drawn step is out of range for {n_qubits} qubits")
+        t_site, base, slot = draw.T
         yield from zip(
             t_site.tolist(),
             (base + slot).tolist(),
@@ -201,19 +211,39 @@ def circuit_stream(
 def _run_realization(
     simulator: type, config: ExperimentConfig, seed_seq: np.random.SeedSequence
 ) -> np.ndarray:
-    """The entropy at step 0 and every `sample_every` steps; none drawn past the last."""
+    """The entropy at step 0 and every `sample_every` steps; none drawn past the last.
+
+    Each block of `sample_every` steps is one `_apply_steps` call.  The
+    tableau then takes an entropy only if some C3 of the block had sites on
+    both sides of the cut, and repeats the last value otherwise: a gate on
+    one side's sites alone maps that side's columns invertibly, so neither T
+    nor such a C3 changes S.  The oracle takes every entropy, so
+    `--oracle-check` tests that rule at every sample.
+    """
     region, sample_every = config.cut, config.sample_every
     out = np.empty(config.time_steps // sample_every + 1)
     state = simulator.new_all_x(config.n_qubits)
-    apply_t, apply_c3 = state.apply_t, state.apply_c3
+    every_sample = not isinstance(state, SuperStabilizerTableau)
+    side = [site in region.sites for site in range(config.n_qubits + 1)]
     rng = np.random.default_rng(seed_seq)
     steps = circuit_stream(rng, config.n_qubits, (len(out) - 1) * sample_every)
-    for i in range(len(out)):
-        out[i] = state.entropy(region)
-        for t_site, control, target_1, target_2 in islice(steps, sample_every):
-            apply_t(t_site)
-            apply_c3(control, target_1, target_2)
+    out[0] = entropy = state.entropy(region)
+    for i in range(1, len(out)):
+        block = list(islice(steps, sample_every))
+        state._apply_steps(block)
+        if every_sample or _crosses(block, side):
+            entropy = state.entropy(region)
+        out[i] = entropy
     return out
+
+
+def _crosses(steps: List[Tuple[int, int, int, int]], side: List[bool]) -> bool:
+    """Whether the C3 of some step has sites on both sides of a cut, where
+    `side[s]` is the side of site s."""
+    for _, control, target_1, target_2 in steps:
+        if not side[control] == side[target_1] == side[target_2]:
+            return True
+    return False
 
 
 def _checked_realization(

@@ -150,6 +150,12 @@ class OperatorWavefunction(GateSimulator):
         for gate in localize_c3(C3(control, target_1, target_2), n):
             self.apply_gate(gate)
 
+    def _apply_steps(self, steps: Iterable[Tuple[int, int, int, int]]) -> None:
+        """`apply_t(t)` then `apply_c3(c, t1, t2)` for each step `(t, c, t1, t2)`."""
+        for t_site, control, target_1, target_2 in steps:
+            self.apply_t(t_site)
+            self.apply_c3(control, target_1, target_2)
+
     def entropy(self, region: Iterable[int]) -> float:
         """Von Neumann entropy (base 2) across the bipartition `region`."""
         sites = sorted(set(site_indices(region)))

@@ -1,5 +1,6 @@
 import math
 import pickle
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -153,6 +154,22 @@ def scalar_steps(rng, n, steps):
     return out
 
 
+class RiggedDraws:
+    """Draws of `rng`, except that the `call`-th `integers` block (from 0)
+    has `value` in the given column of its last row."""
+
+    def __init__(self, rng, call, column, value):
+        self.rng = rng
+        self.call, self.column, self.value = call, column, value
+
+    def integers(self, low, high, size):
+        draw = self.rng.integers(low, high, size)
+        if self.call == 0:
+            draw[-1, self.column] = self.value
+        self.call -= 1
+        return draw
+
+
 class TestCircuitStream:
     """`circuit_stream` must equal successive `random_step` draws exactly."""
 
@@ -210,6 +227,21 @@ class TestCircuitStream:
         for n, steps in ((2, 1), (5, -1)):
             with pytest.raises(ExperimentError):
                 next(circuit_stream(rng, n, steps))
+
+    @pytest.mark.parametrize(
+        "column, value",
+        # N = 12: a T site in 1..12, a window start in 1..10, a control slot in 0..2
+        [(0, 0), (0, 13), (1, 0), (1, 11), (2, -1), (2, 3)],
+    )
+    def test_a_block_with_a_bad_draw_yields_none_of_its_steps(self, column, value):
+        # the second block has one bad value in its last step: the first
+        # block's steps all come out, and then not one step of the second
+        rng = RiggedDraws(np.random.default_rng(5), call=1, column=column, value=value)
+        stream = circuit_stream(rng, 12, STREAM_BLOCK + 7)
+        want = scalar_steps(np.random.default_rng(5), 12, STREAM_BLOCK)
+        assert list(islice(stream, STREAM_BLOCK)) == want
+        with pytest.raises(ExperimentError, match="^a drawn step is out of range for 12 qubits$"):
+            next(stream)
 
     @pytest.mark.parametrize("n", [2**32 + 1, 2**40 + 3])
     def test_matches_random_step_beyond_32_bits(self, n):
@@ -392,6 +424,76 @@ class TestRunRandomEnsemble:
             assert np.allclose(oracle, oracle_ref, atol=1e-6, rtol=0)
             assert np.allclose(oracle, tableau_ref, atol=1e-6, rtol=0)
 
+    @pytest.mark.parametrize("cut", [None, Region([2, 3, 5])], ids=["half", "sites-2-3-5"])
+    @pytest.mark.parametrize(
+        "time_steps, sample_every",
+        # every step; then blocks of 7 and of 200, each with a dropped tail of 3
+        [(300, 1), (353, 7), (1003, 200)],
+    )
+    def test_matches_step_by_step_reference(self, time_steps, sample_every, cut):
+        # the tableau ranks only after a block with a crossing C3; the
+        # reference ranks at every sample, one `random_step` per step
+        n = 12
+        cfg = ExperimentConfig(
+            n_qubits=n, time_steps=time_steps, realizations=2, rng_seed=31,
+            cut=cut, sample_every=sample_every,
+        )
+        series = run_random_ensemble(cfg)
+        children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.realizations)
+        for r, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            tab = SuperStabilizerTableau.new_all_x(n)
+            want = [tab.entropy(cfg.cut)]
+            for step in range(1, time_steps // sample_every * sample_every + 1):
+                for gate in random_step(rng, n):
+                    tab.apply_gate(gate)
+                if step % sample_every == 0:
+                    want.append(tab.entropy(cfg.cut))
+            assert series.values[:, r].tolist() == want
+        assert series.values.max() > 0
+
+    def test_tableau_ranks_after_crossings_only_oracle_at_every_sample(self, monkeypatch):
+        cfg = ExperimentConfig(
+            n_qubits=12, time_steps=400, realizations=1, rng_seed=4, sample_every=1
+        )
+        calls = {SuperStabilizerTableau: 0, OperatorWavefunction: 0}
+        for cls in calls:
+            def counted(self, region, cls=cls, entropy=cls.entropy):
+                calls[cls] += 1
+                return entropy(self, region)
+            monkeypatch.setattr(cls, "entropy", counted)
+        (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
+        experiments._checked_realization(cfg, True, (0, child))
+        # of the windows 1..10, only those at 5 and 6 cross the cut after site 6
+        steps = circuit_stream(np.random.default_rng(child), 12, cfg.time_steps)
+        crossing = sum(len({s <= 6 for s in sites}) == 2 for _, *sites in steps)
+        assert 0 < crossing < cfg.time_steps // 2
+        assert calls == {SuperStabilizerTableau: 1 + crossing, OperatorWavefunction: 401}
+
+    def test_no_step_of_a_rejected_block_reaches_the_kernel(self, monkeypatch):
+        applied = []
+
+        class Recording(SuperStabilizerTableau):
+            def _apply_steps(self, steps):
+                applied.extend(steps)
+                super()._apply_steps(steps)
+
+        cfg = ExperimentConfig(
+            n_qubits=12, time_steps=STREAM_BLOCK + 40, realizations=1, rng_seed=2,
+            sample_every=7,
+        )
+        (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
+        real = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: RiggedDraws(real(seed), 1, 0, 13)
+        )
+        with pytest.raises(ExperimentError, match="out of range for 12 qubits"):
+            experiments._run_realization(Recording, cfg, child)
+        # the blocks of 7 steps that the first draw holds whole, and no more
+        monkeypatch.undo()
+        whole = STREAM_BLOCK // 7 * 7
+        assert applied == scalar_steps(np.random.default_rng(child), 12, whole)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_oracle_simulator_matches_tableau(self, workers):
         cfg = ExperimentConfig(
@@ -519,6 +621,12 @@ class TestCsvOutput:
         assert lines[0] == "step,mean_entropy,stderr,realizations"
         assert lines[2].startswith("1,0.333333333,")
         assert all(line.endswith(",3") for line in lines[1:])
+
+    def test_one_realization_stderr_holds_no_array_per_sample(self):
+        series = synthetic_series([0.0, 1.0, 2.0, 2.0], realizations=1)
+        assert series.stderr.tolist() == [0.0] * 4
+        assert series.stderr.strides == (0,)
+        assert estimate_saturation_time(series) == 2
 
     def test_nine_significant_digits(self):
         assert format_float(1.0 / 3.0) == "0.333333333"

@@ -7,7 +7,7 @@ import pytest
 from super_scrambler.experiments import build_ghz_program, circuit_stream
 from super_scrambler.gf2 import gf2_rank
 from super_scrambler.model import C3, OperatorProgram, SuperPauli, Swap, T
-from super_scrambler.oracle import OperatorWavefunction
+from super_scrambler.oracle import OperatorWavefunction, OracleError
 from super_scrambler.tableau import (
     Region,
     SuperStabilizerTableau,
@@ -313,7 +313,7 @@ class TestEntropy:
             assert 0 <= s <= min(p, 10 - p)
 
     def test_gate_locality_entropy_change(self):
-        # T moves entropy by at most 1 across any cut, C3 by at most 2
+        # T keeps the entropy of every cut, a C3 moves it by at most 1
         rng = np.random.default_rng(29)
         for _ in range(5):
             n = 8
@@ -322,16 +322,97 @@ class TestEntropy:
             before = [tab.entropy(c) for c in cuts]
             tab.apply_t(int(rng.integers(1, n + 1)))
             after = [tab.entropy(c) for c in cuts]
-            assert all(abs(a - b) <= 1 for a, b in zip(after, before))
+            assert after == before
             c, t1, t2 = rng.choice(np.arange(1, n + 1), size=3, replace=False)
             tab.apply_c3(int(c), int(t1), int(t2))
             final = [tab.entropy(cut) for cut in cuts]
-            assert all(abs(f - a) <= 2 for f, a in zip(final, after))
+            assert all(abs(f - a) <= 1 for f, a in zip(final, after))
 
     def test_invalid_region(self):
         tab = SuperStabilizerTableau.new_all_x(3)
         with pytest.raises(ValueError):
             tab.entropy(Region({4}))
+
+
+class TestEntropyChangeRule:
+    """The rule by which a realization skips entropies: T never changes any
+    S(A), a C3 with all three sites on one side of A keeps S(A), and a C3
+    that crosses the cut changes S(A) by at most 1, its operator Schmidt
+    rank being 2.  Exact ranks from scratch, on random states up to N=120,
+    over prefix and non-prefix regions."""
+
+    def test_t_and_one_sided_c3_keep_s_crossing_c3_moves_it_by_at_most_1(self):
+        moves = set()
+        for n in (3, 4, 5, 8, 13, 40, 120):
+            rng = np.random.default_rng(3100 + n)
+            every = np.arange(1, n + 1)
+            for trial in range(24):
+                tab = random_evolved(rng, n, int(rng.integers(0, 4 * n)))
+                regions = [set(range(1, int(rng.integers(1, n)) + 1))]
+                regions += [{int(s) for s in rng.choice(every, size=int(rng.integers(1, n)),
+                                                        replace=False)} for _ in range(2)]
+                before = [rank_entropy(tab, sites) for sites in regions]
+                tab.apply_t(int(rng.integers(1, n + 1)))
+                assert [rank_entropy(tab, sites) for sites in regions] == before, n
+                sites = regions[trial % 3]
+                for side in (sorted(sites), sorted(set(every.tolist()) - sites)):
+                    if len(side) >= 3:
+                        tab.apply_c3(*(int(s) for s in rng.choice(side, size=3, replace=False)))
+                        assert rank_entropy(tab, sites) == before[trial % 3], (n, side)
+                # one site on each side, the third anywhere, in a random order
+                inside = int(rng.choice(sorted(sites)))
+                outside = int(rng.choice(sorted(set(every.tolist()) - sites)))
+                third = int(rng.choice(sorted(set(every.tolist()) - {inside, outside})))
+                tab.apply_c3(*(int(s) for s in rng.permutation([inside, outside, third])))
+                moves.add(rank_entropy(tab, sites) - before[trial % 3])
+        assert moves == {-1, 0, 1}
+
+
+class TestApplySteps:
+    """`_apply_steps`, the tableau's one-loop T + C3 kernel, against
+    `apply_t` then `apply_c3` one step at a time."""
+
+    @staticmethod
+    def random_steps(rng, n, count):
+        """`count` steps of a T site and three distinct C3 sites, anywhere."""
+        every = np.arange(1, n + 1)
+        return [
+            (int(rng.integers(1, n + 1)), *(int(s) for s in rng.choice(every, 3, replace=False)))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 120])
+    def test_matches_apply_t_and_apply_c3(self, n):
+        rng = np.random.default_rng(700 + n)
+        blocked = random_evolved(rng, n, 3 * n)
+        stepped = SuperStabilizerTableau(n, blocked.x, blocked.z)
+        for count in (0, 1, 2, 5, 200, 0, 3 * n):
+            steps = self.random_steps(rng, n, count)
+            blocked._apply_steps(steps)
+            for t_site, control, target_1, target_2 in steps:
+                stepped.apply_t(t_site)
+                stepped.apply_c3(control, target_1, target_2)
+            assert (blocked.x, blocked.z) == (stepped.x, stepped.z), (n, count)
+        blocked.check_invariants()
+
+    def test_oracle_steps_match_the_tableau(self):
+        # the oracle's `_apply_steps` loops its own checked gates
+        rng = np.random.default_rng(77)
+        tab = SuperStabilizerTableau.new_all_x(6)
+        psi = OperatorWavefunction.new_all_x(6)
+        for count in (0, 1, 4, 9):
+            steps = self.random_steps(rng, 6, count)
+            tab._apply_steps(steps)
+            psi._apply_steps(steps)
+            for p in range(1, 6):
+                assert psi.entropy(range(1, p + 1)) == pytest.approx(
+                    tab.entropy(Region.prefix(p)), abs=1e-9
+                )
+
+    def test_oracle_steps_check_every_gate(self):
+        psi = OperatorWavefunction.new_all_x(4)
+        with pytest.raises(OracleError, match="^C3 sites must be distinct$"):
+            psi._apply_steps([(1, 2, 3, 4), (2, 3, 3, 1)])
 
 
 class TestRankChain:
