@@ -134,12 +134,15 @@ class SuperStabilizerTableau(GateSimulator):
             self._check_site(control, target_1, target_2)
         c, t1, t2 = control - 1, target_1 - 1, target_2 - 1
         x, z = self.x, self.z
+        # the update of `_apply_steps`, line for line
         v = x[c]
-        z[c] ^= x[t1] ^ z[t1] ^ x[t2] ^ z[t2]
-        x[t1] ^= v
-        z[t1] ^= v
-        x[t2] ^= v
-        z[t2] ^= v
+        x1, z1 = x[t1], z[t1]
+        x2, z2 = x[t2], z[t2]
+        z[c] ^= x1 ^ z1 ^ x2 ^ z2
+        x[t1] = x1 ^ v
+        z[t1] = z1 ^ v
+        x[t2] = x2 ^ v
+        z[t2] = z2 ^ v
 
     def _apply_steps(self, steps: Iterable[Tuple[int, int, int, int]]) -> None:
         """`apply_t(t)` then `apply_c3(c, t1, t2)` for each step `(t, c, t1, t2)`,

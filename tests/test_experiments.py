@@ -494,6 +494,63 @@ class TestRunRandomEnsemble:
         whole = STREAM_BLOCK // 7 * 7
         assert applied == scalar_steps(np.random.default_rng(child), 12, whole)
 
+    def test_sparse_samples_reach_the_kernel_in_stream_sized_chunks(self):
+        # sample blocks of three stream blocks and 5 steps, and a dropped tail:
+        # no kernel call holds more steps than one draw block
+        sizes = []
+
+        class Recording(SuperStabilizerTableau):
+            def _apply_steps(self, steps):
+                sizes.append(len(steps))
+                super()._apply_steps(steps)
+
+        n, every = 12, 3 * STREAM_BLOCK + 5
+        cfg = ExperimentConfig(
+            n_qubits=n, time_steps=2 * every + 3, realizations=1, rng_seed=6,
+            sample_every=every,
+        )
+        (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
+        got = experiments._run_realization(Recording, cfg, child, skip_uncrossed=True)
+        assert sizes == 2 * ([STREAM_BLOCK] * 3 + [5])
+        rng = np.random.default_rng(child)
+        tab = SuperStabilizerTableau.new_all_x(n)
+        want = [tab.entropy(cfg.cut)]
+        for step in range(1, 2 * every + 1):
+            for gate in random_step(rng, n):
+                tab.apply_gate(gate)
+            if step % every == 0:
+                want.append(tab.entropy(cfg.cut))
+        assert got.tolist() == want
+
+    def test_a_crossing_in_an_early_chunk_of_a_sample_block_re_ranks(self, monkeypatch):
+        # each sample block opens with a C3 across the cut after site 3; its
+        # other steps, the whole last chunk among them, keep to one side
+        n, every = 6, STREAM_BLOCK + 1
+        one_sided = [(1, 1, 2, 3), (6, 5, 4, 6), (2, 2, 1, 3)]
+
+        def stream(rng, n_qubits, steps):
+            for k in range(steps):
+                yield (3, 3, 4, 5) if k % every == 0 else one_sided[k % 3]
+
+        cfg = ExperimentConfig(
+            n_qubits=n, time_steps=4 * every, realizations=1, rng_seed=0, sample_every=every
+        )
+        tab = SuperStabilizerTableau.new_all_x(n)
+        want = [tab.entropy(cfg.cut)]
+        for k, (t, c, t1, t2) in enumerate(stream(None, n, cfg.time_steps)):
+            tab.apply_t(t)
+            tab.apply_c3(c, t1, t2)
+            if (k + 1) % every == 0:
+                want.append(tab.entropy(cfg.cut))
+        assert want == [0, 1, 2, 1, 0]
+        monkeypatch.setattr(experiments, "circuit_stream", stream)
+        (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
+        for skip in (False, True):
+            got = experiments._run_realization(
+                SuperStabilizerTableau, cfg, child, skip_uncrossed=skip
+            )
+            assert got.tolist() == want
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_oracle_simulator_matches_tableau(self, workers):
         cfg = ExperimentConfig(
