@@ -326,11 +326,13 @@ def estimate_saturation_time(series: EntropySeries) -> int:
     if n < 2:
         raise ExperimentError("plateau needs at least 2 samples")
     tail = max(2, n // 10)
-    x = series.steps[-tail:].astype(float)
+    x = series.steps[-tail:]
     y = series.mean[-tail:]
-    slope, _ = np.polyfit(x, y, 1)
+    # the least-squares slope from centred sums: no Vandermonde matrix
+    xc = x - x.mean()
+    slope = float(xc @ (y - y.mean()) / (xc @ xc))
     plateau = plateau_estimate(series)
-    drift = abs(slope) * (x[-1] - x[0])
+    drift = abs(slope) * float(x[-1] - x[0])
     noise = max(0.02 * plateau, 2.0 * float(series.stderr[-tail:].mean()))
     if plateau <= 0 or drift > noise:
         raise ExperimentError("plateau not reached")

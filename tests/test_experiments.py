@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -635,6 +636,65 @@ class TestSaturationTime:
         series = synthetic_series([0.0], realizations=1)
         with pytest.raises(ExperimentError, match="^plateau needs at least 2 samples$"):
             estimate_saturation_time(series)
+
+    @staticmethod
+    def polyfit_outcome(series):
+        """The step or the error of the tail test with `np.polyfit`'s slope."""
+        n = len(series.steps)
+        tail = max(2, n // 10)
+        x = series.steps[-tail:].astype(float)
+        slope, _ = np.polyfit(x, series.mean[-tail:], 1)
+        plateau = float(series.mean[-max(1, n // 10):].mean())
+        drift = abs(slope) * (x[-1] - x[0])
+        noise = max(0.02 * plateau, 2.0 * float(series.stderr[-tail:].mean()))
+        if plateau <= 0 or drift > noise:
+            return "plateau not reached"
+        above = series.mean >= 0.95 * plateau
+        return int(series.steps[np.argmax(above)]) if above.any() else "never"
+
+    def test_tail_slope_decides_as_polyfit(self):
+        # saturating curves with noise, and ramps whose tail drift is 0.5 to 2
+        # times the 2 % noise floor, 1 +- 1e-9 included
+        rng = np.random.default_rng(44)
+        outcomes = set()
+        for k in range(300):
+            n = int(rng.integers(2, 3000))
+            step_size = int(rng.integers(1, 300))
+            reals = int(rng.integers(1, 5))
+            t = np.arange(n, dtype=float)
+            if k % 2:
+                means = 30 * (1 - np.exp(-t / rng.uniform(1, n)))
+                values = means[:, None] + rng.normal(0, rng.uniform(0, 2), (n, reals))
+            else:
+                tail = max(2, n // 10)
+                ratio = rng.choice([rng.uniform(0.5, 2), 1 - 1e-9, 1 + 1e-9])
+                level = rng.uniform(1, 50)
+                # level + s * t, whose tail drift s * (tail - 1) is ratio * 0.02 * plateau
+                s = ratio * 0.02 * level / ((tail - 1) - ratio * 0.02 * (n - (tail + 1) / 2))
+                values = np.tile((level + s * t)[:, None], (1, reals))
+            series = EntropySeries(steps=np.arange(n) * step_size, values=values)
+            try:
+                got = estimate_saturation_time(series)
+            except ExperimentError as err:
+                got = "plateau not reached" if "plateau not" in str(err) else "never"
+            expected = self.polyfit_outcome(series)
+            assert got == expected, (k, n, step_size)
+            outcomes.add(got if isinstance(got, str) else "step")
+        assert outcomes == {"plateau not reached", "step"}
+
+    def test_tail_slope_holds_no_design_matrix(self):
+        # the tail of 20,000 samples: two float arrays of it at most, a bound
+        # that np.polyfit's design matrix and least-squares copies exceed
+        n = 200_000
+        series = synthetic_series(np.minimum(np.arange(n), 1000.0), realizations=1)
+        series.mean, series.stderr  # cached before the trace
+        tracemalloc.start()
+        try:
+            assert estimate_saturation_time(series) == 950
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * (n // 10) + n + 4096
 
 
 class TestPageValue:

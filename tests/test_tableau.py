@@ -249,6 +249,79 @@ class TestApplyProgram:
         tab = SuperStabilizerTableau.new_all_x(3)
         with pytest.raises(TableauError):
             tab.apply_program(OperatorProgram(4, ()))
+        # a program that would touch columns raises with all of them untouched
+        tab = random_evolved(np.random.default_rng(3), 3)
+        before = (list(tab.x), list(tab.z))
+        for program_n in (2, 4, 9):
+            program = OperatorProgram(program_n, (T(1), Swap(1, 2)) * 3)
+            with pytest.raises(TableauError, match="^program/simulator dimension mismatch$"):
+                tab.apply_program(program)
+            assert (tab.x, tab.z) == before
+
+    @staticmethod
+    def random_program(rng, n, count):
+        """`count` gates drawn from a pool of T, adjacent and long-range SWAP,
+        and adjacent and non-adjacent C3 objects, each pool gate shared by
+        every draw of it; the five gates of every third round have numpy-int
+        sites."""
+        every = np.arange(1, n + 1)
+        pool = []
+        for i in range(max(4, n // 2)):
+            p = int(rng.integers(1, n - 1))  # a window p, p + 1, p + 2
+            a, b = rng.choice(every, 2, replace=False)
+            c, t1, t2 = rng.choice(every, 3, replace=False)
+            ends = (p, p + 2) if rng.integers(0, 2) else (p + 2, p)
+            gates = [T(int(rng.integers(1, n + 1))), Swap(p, p + 1), Swap(a, b),
+                     C3(p + 1, *ends), C3(c, t1, t2)]
+            cast = np.int64 if i % 3 == 0 else int
+            pool += [g._make(map(cast, g)) for g in gates]
+        return [pool[k] for k in rng.integers(0, len(pool), count)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 40, 120])
+    def test_matches_apply_gate(self, n):
+        rng = np.random.default_rng(900 + n)
+        looped = random_evolved(rng, n, 3 * n)
+        gated = SuperStabilizerTableau(n, looped.x, looped.z)
+        for count in (0, 1, 2, 9, 300, 0, 5 * n):
+            gates = self.random_program(rng, n, count)
+            looped.apply_program(OperatorProgram(n, gates))
+            for gate in gates:
+                gated.apply_gate(gate)
+            assert (looped.x, looped.z) == (gated.x, gated.z), (n, count)
+        looped.check_invariants()
+
+    def test_random_programs_cover_every_gate_shape(self):
+        gates = self.random_program(np.random.default_rng(1), 12, 2000)
+        shapes = {
+            (type(g).__name__, max(g) - min(g) <= len(g) - 1, isinstance(g[0], np.integer))
+            for g in gates
+        }
+        assert shapes == {(kind, local, numpy_int) for kind in ("T", "Swap", "C3")
+                          for local in (True, False) for numpy_int in (True, False)
+                          if kind != "T" or local}
+        assert len({id(g) for g in gates}) < len(gates) // 10
+
+    @pytest.mark.parametrize("n", [60, 90, 120])
+    def test_localized_ghz_matches_apply_gate(self, n):
+        program = build_ghz_program(n, localized=True)
+        looped = SuperStabilizerTableau.new_all_x(n)
+        looped.apply_program(program)
+        gated = SuperStabilizerTableau.new_all_x(n)
+        for gate in program.gates:
+            gated.apply_gate(gate)
+        assert (looped.x, looped.z) == (gated.x, gated.z)
+
+    def test_c3_goes_through_apply_c3(self):
+        class Recording(SuperStabilizerTableau):
+            def apply_c3(self, *sites):
+                self.c3s.append(sites)
+                super().apply_c3(*sites)
+
+        gates = self.random_program(np.random.default_rng(5), 9, 200)
+        tab = Recording.new_all_x(9)
+        tab.c3s = []
+        tab.apply_program(OperatorProgram(9, gates))
+        assert tab.c3s == [tuple(g) for g in gates if type(g) is C3]
 
     def test_per_gate_invariant_checking(self):
         tab = SuperStabilizerTableau.new_all_x(5)
