@@ -8,7 +8,6 @@ from .model import (
     C3,
     OperatorProgram,
     ProgramError,
-    SuperPauli,
     Swap,
     T,
     localize_c3,
@@ -47,7 +46,7 @@ def __getattr__(name):
 
 
 __all__ = sorted([
-    "C3", "OperatorProgram", "ProgramError", "SuperPauli", "Swap", "T",
+    "C3", "OperatorProgram", "ProgramError", "Swap", "T",
     "localize_c3", "parse_program", "format_program", "reverse_from_state_space",
     "Region", "SuperStabilizerTableau", "TableauError", "gf2_rank", *_LAZY,
 ])

@@ -283,7 +283,8 @@ def cmd_random(args: argparse.Namespace) -> int:
     config, outputs, digests = random_config(args)
     if args.manifest and os.path.abspath(args.manifest) in map(os.path.abspath, outputs):
         raise UsageError(f"--manifest {args.manifest} is also an output")
-    check_writable(config.output)
+    for path in outputs:
+        check_writable(path)
     workers = max_workers()
     if args.oracle_check:
         if config.n_qubits > MAX_ORACLE_QUBITS:

@@ -26,8 +26,8 @@ _MAX_REALIZATIONS = 10_000
 # 958,400 and takes 1.5 s and 16 MB to build.
 _MAX_GHZ_GATES = 1_000_000
 # The most entropy samples of one ensemble, (time_steps // sample_every + 1)
-# per realization, all held until the run ends: `random --n 3` peaks at 195 MB
-# for 10,000 realizations of 999 steps, 329 MB for one of 9,999,999.
+# per realization, all held until the run ends: `random --n 3` peaks at 194 MB
+# for 10,000 realizations of 999 steps, 285 MB for one of 9,999,999.
 _MAX_SAMPLES = 10_000_000
 
 

@@ -1,8 +1,7 @@
-"""Core data model: X/Y-string super-Paulis, super-gates, and programs.
+"""Core data model: super-gates, operator programs and their text format.
 
-Site indices are 1-based everywhere in the public API (and in the program
-text format); bit positions inside masks are 0-based, with site i stored at
-bit i-1.
+Site indices are 1-based everywhere in the public API and in the program
+text format.
 """
 
 from __future__ import annotations
@@ -58,48 +57,6 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-class SuperPauli(_Record):
-    """A super-Pauli operator on the X/Y string space, sign untracked.
-
-    ``x_mask`` bit i-1 is the X-type exponent at site i, ``z_mask`` the
-    Z-type exponent.
-    """
-
-    __slots__ = _fields = ("n_qubits", "x_mask", "z_mask")
-
-    def __init__(self, n_qubits: int, x_mask: int, z_mask: int):
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        top = 1 << n_qubits
-        if not (0 <= x_mask < top and 0 <= z_mask < top):
-            raise ValueError("mask out of range for n_qubits")
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "x_mask", x_mask)
-        object.__setattr__(self, "z_mask", z_mask)
-
-    def label(self) -> str:
-        """One character per site over {I, X, Z, Y}."""
-        n = self.n_qubits
-        xs, zs = (int(format(m, f"0{n}b"), 8) for m in (self.x_mask, self.z_mask))
-        return format(xs + 2 * zs, f"0{n}o")[::-1].translate(_LABEL_CHAR)
-
-    @classmethod
-    def from_label(cls, label: str) -> "SuperPauli":
-        bad = label.translate(_DROP_LABEL_CHARS)
-        if bad:
-            raise ValueError(f"bad stabilizer character {bad[0]!r}")
-        x_mask = int(label.translate(_X_BIT)[::-1] or "0", 2)
-        z_mask = int(label.translate(_Z_BIT)[::-1] or "0", 2)
-        return cls(len(label), x_mask, z_mask)
-
-
-# label characters by octal digit x + 2z, and the per-plane bits of each character
-_LABEL_CHAR = str.maketrans("0123", "IXZY")
-_DROP_LABEL_CHARS = str.maketrans("", "", "IXZY")
-_X_BIT = str.maketrans("IXZY", "0101")
-_Z_BIT = str.maketrans("IXZY", "0011")
 
 
 class T(NamedTuple):

@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .gf2 import _RankChain, gf2_rank
-from .model import (_DROP_LABEL_CHARS, _LABEL_CHAR, _MAX_QUBITS, _X_BIT, _Z_BIT,
-                    GateSimulator, OperatorProgram, SuperPauli, Swap, T, _Record,
+from .model import (_MAX_QUBITS, GateSimulator, OperatorProgram, Swap, T, _Record,
                     _split_lines, site_indices)
 
 
@@ -74,6 +73,14 @@ def _transpose(rows: Sequence[int], n: int) -> List[int]:
     return [int(bits[k::n], 2) for k in range(n - 1, -1, -1)]
 
 
+# The text format of `dumps` and `loads`: label characters by octal digit
+# x + 2z, and the per-plane bits of each character
+_LABEL_CHAR = str.maketrans("0123", "IXZY")
+_DROP_LABEL_CHARS = str.maketrans("", "", "IXZY")
+_X_BIT = str.maketrans("IXZY", "0101")
+_Z_BIT = str.maketrans("IXZY", "0011")
+
+
 class SuperStabilizerTableau(GateSimulator):
     """N super-stabilizers evolving under the {T, SWAP, C3} super-gate set."""
 
@@ -97,12 +104,6 @@ class SuperStabilizerTableau(GateSimulator):
     def new_all_x(cls, n_qubits: int) -> "SuperStabilizerTableau":
         """Tableau for the unentangled all-X string: stabilizer alpha is Z_alpha."""
         return cls(n_qubits, [0] * n_qubits, [1 << j for j in range(n_qubits)])
-
-    @property
-    def stabilizers(self) -> List[SuperPauli]:
-        n = self.n_qubits
-        xs, zs = _transpose(self.x, n), _transpose(self.z, n)
-        return [SuperPauli(n, xm, zm) for xm, zm in zip(xs, zs)]
 
     # -- gate updates ------------------------------------------------------
 

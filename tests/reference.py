@@ -1,11 +1,36 @@
 """Scalar references shared by several test modules: each states by index
 arithmetic or by definition what the code under test computes faster."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 
+class Stabilizer(NamedTuple):
+    """One super-Pauli, sign untracked: bit i-1 of `x_mask` is its X-type
+    exponent at site i, of `z_mask` its Z-type exponent."""
+
+    n_qubits: int
+    x_mask: int
+    z_mask: int
+
+
+def stabilizers(tab):
+    """The tableau's stabilizers as rows, read off its columns one bit at a
+    time: bit i of `x[j]` is bit j of stabilizer i's `x_mask`."""
+    n = tab.n_qubits
+    return [
+        Stabilizer(
+            n,
+            sum((tab.x[j] >> i & 1) << j for j in range(n)),
+            sum((tab.z[j] >> i & 1) << j for j in range(n)),
+        )
+        for i in range(n)
+    ]
+
+
 def apply_super_pauli_reference(amps, stabilizer):
-    """The SuperPauli's action by index arithmetic: X-type factors flip basis
+    """A `Stabilizer`'s action by index arithmetic: X-type factors flip basis
     bits, Z-type factors give (-1)^bit phases."""
     idx = np.arange(len(amps))
     zpar = np.zeros(len(idx), dtype=np.int64)

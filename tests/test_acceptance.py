@@ -22,7 +22,7 @@ from super_scrambler.experiments import (
 from super_scrambler.model import Swap
 from super_scrambler.oracle import OperatorWavefunction, verify_gate_tables
 from super_scrambler.tableau import Region, SuperStabilizerTableau
-from reference import check_stabilized_reference
+from reference import check_stabilized_reference, stabilizers
 
 
 def report(name, ok, margins=()):
@@ -129,7 +129,7 @@ def test_oracle_equivalence():
                         )
                         ok &= diff < 1e-6
                         worst = max(worst, diff)
-                    for sp in tab.stabilizers:
+                    for sp in stabilizers(tab):
                         ok &= check_stabilized_reference(psi, sp) in ("plus", "minus")
             if not ok:
                 break

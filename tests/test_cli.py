@@ -398,6 +398,19 @@ class TestRandom:
         assert err == f"error: --manifest {manifest} is also an output\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_summary_io_error_before_ensemble(self, tmp_path, capsys):
+        summary = tmp_path / "r.summary.json"
+        summary.mkdir()
+        code, out, err = run_cli(
+            ["random", "--n", "6", "--steps", "20", "--reals", "2", "--seed", "1",
+             "--out", str(tmp_path / "r.csv")],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: cannot write {summary}\n"
+        assert list(tmp_path.iterdir()) == [summary]
+
     def test_failed_write_leaves_recorded_outputs(self, tmp_path, capsys, monkeypatch):
         out, _ = self._first_run(tmp_path, capsys)
         recorded = {path: path.read_bytes() for path in tmp_path.iterdir()}

@@ -30,7 +30,7 @@ from super_scrambler.model import (
 )
 from super_scrambler.oracle import OperatorWavefunction
 from super_scrambler.tableau import Region, SuperStabilizerTableau
-from reference import check_stabilized_reference, svd_entropy_reference
+from reference import check_stabilized_reference, stabilizers, svd_entropy_reference
 
 
 @st.composite
@@ -73,7 +73,7 @@ def test_tableau_matches_oracle_on_every_region(pair):
     assert rewritten.dumps() == tableau.dumps()
     psi = OperatorWavefunction.new_all_x(n)
     psi.apply_program(localized)
-    for sp in tableau.stabilizers:
+    for sp in stabilizers(tableau):
         assert check_stabilized_reference(psi, sp) in ("plus", "minus")
     # every nonempty proper region; its complement is in the loop as well
     for mask in range(1, (1 << n) - 1):
@@ -104,7 +104,7 @@ def test_stabilizer_dump_round_trip(program):
     text = tableau.dumps()
     loaded = SuperStabilizerTableau.loads(text)
     assert loaded.dumps() == text
-    assert loaded.stabilizers == tableau.stabilizers
+    assert (loaded.x, loaded.z) == (tableau.x, tableau.z)
 
 
 # `random` settings by flag name: values that run in milliseconds, then

@@ -1,7 +1,6 @@
 import copy
 import itertools
 import pickle
-import random
 import re
 from typing import NamedTuple
 
@@ -16,7 +15,6 @@ from super_scrambler.model import (
     STATE_SPACE_DIRECTIVE,
     OperatorProgram,
     ProgramError,
-    SuperPauli,
     Swap,
     T,
     format_program,
@@ -43,34 +41,10 @@ def random_gates(rng, n, count):
     return gates
 
 
-class TestSuperPauliLabel:
-    def test_round_trip_random_masks(self):
-        rng = random.Random(4)
-        for n in (1, 2, 7, 64, 65, 120):
-            for _ in range(20):
-                x, z = rng.getrandbits(n), rng.getrandbits(n)
-                sp = SuperPauli(n, x, z)
-                label = sp.label()
-                assert len(label) == n
-                assert all(
-                    c == "IXZY"[((x >> i) & 1) + 2 * ((z >> i) & 1)]
-                    for i, c in enumerate(label)
-                )
-                assert SuperPauli.from_label(label) == sp
-
-    def test_bad_character_named(self):
-        with pytest.raises(ValueError, match="bad stabilizer character 'a'"):
-            SuperPauli.from_label("XZaYq")
-        with pytest.raises(ValueError, match="bad stabilizer character ' '"):
-            SuperPauli.from_label("X Y")
-
-
 @pytest.mark.parametrize(
     "build, message",
-    [(lambda: SuperPauli(0, 0, 0), "n_qubits must be positive"),
-     (lambda: SuperPauli(2, 4, 0), "mask out of range for n_qubits"),
-     (lambda: OperatorProgram(0), "n_qubits must be positive")],
-    ids=["pauli-zero-qubits", "pauli-wide-mask", "program-zero-qubits"],
+    [(lambda: OperatorProgram(0), "n_qubits must be positive")],
+    ids=["program-zero-qubits"],
 )
 def test_bad_size_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -80,7 +54,6 @@ def test_bad_size_rejected(build, message):
 # Each record with its field values and its repr, as the frozen dataclasses
 # that these classes replaced gave them.
 RECORDS = {
-    "pauli": (SuperPauli(3, 1, 2), (3, 1, 2), "SuperPauli(n_qubits=3, x_mask=1, z_mask=2)"),
     "program": (
         OperatorProgram(6, (T(1), Swap(2, 3), C3(1, 3, 5))),
         (6, (T(1), Swap(2, 3), C3(1, 3, 5))),
@@ -109,7 +82,7 @@ class TestRecords:
         assert record != values and record.__eq__(values) is NotImplemented
 
     def test_frozen(self, record, values, text):
-        for name in ("n_qubits", "x_mask", "z_mask", "gates", "sites", "lo", "hi", "other"):
+        for name in ("n_qubits", "gates", "sites", "lo", "hi", "other"):
             with pytest.raises(AttributeError):
                 setattr(record, name, 7)
             with pytest.raises(AttributeError):
@@ -128,7 +101,6 @@ class TestRecords:
 
 
 def test_records_construct_by_keyword():
-    assert SuperPauli(n_qubits=3, x_mask=1, z_mask=2) == SuperPauli(3, 1, 2)
     assert OperatorProgram(n_qubits=2).gates == ()
     assert OperatorProgram(n_qubits=2, gates=[T(1)]).gates == (T(1),)
     assert Region(sites=[2, 1]) == Region([1, 2])
@@ -240,7 +212,7 @@ class TestLocalizeC3:
                      for t2 in range(t1 + 1, n + 1) if len({c, t1, t2}) == 3]
             for c, t1, t2 in sites:
                 seq = localize_c3(C3(c, t1, t2), n)
-                # single-SuperPauli inputs: each basis unit vector in turn
+                # single-plane inputs: each basis unit vector in turn
                 for plane in ("x", "z"):
                     for i in range(n):
                         # every stabilizer carries the unit vector at site i+1

@@ -18,7 +18,8 @@ assert len(ss.localize_c3(ss.C3(1, 3, 5), 6)) > 1
 tableau = ss.SuperStabilizerTableau.new_all_x(6)
 tableau.apply_program(program)
 assert tableau.entropy(ss.Region.prefix(3)) == 1
-assert ss.SuperPauli.from_label("XYZ").label() == "XYZ"
+loaded = ss.SuperStabilizerTableau.loads(tableau.dumps())
+assert (loaded.x, loaded.z) == (tableau.x, tableau.z)
 assert ss.gf2_rank([0b11, 0b01, 0b10]) == 2
 print(" ".join(
     name for name in ("numpy", "super_scrambler.oracle", "super_scrambler.experiments",
