@@ -56,13 +56,11 @@ def _sha256(path: str) -> str:
 
 
 def write_manifest(
-    args: argparse.Namespace, config: dict, outputs: Sequence[str] = ()
+    path: Optional[str], args: argparse.Namespace, config: dict, outputs: Sequence[str] = ()
 ) -> None:
     """Record the run of `args.command` with `config`, its seed if it has one,
-    and a digest per output: at `--manifest`, or else beside the first output;
-    with neither, nowhere."""
-    path = args.manifest or (outputs[0] + ".manifest.json" if outputs else None)
-    if not path:
+    and a digest per output at `path`; with no path, nowhere."""
+    if path is None:
         return
     manifest = {
         "subcommand": args.command,
@@ -171,7 +169,7 @@ def random_config(
     except (TypeError, ValueError) as e:
         raise UsageError(str(e))
     outputs = []
-    if config.output:
+    if config.output is not None:
         outputs = [config.output, os.path.splitext(config.output)[0] + ".summary.json"]
     if not args.from_manifest:
         return config, outputs, []
@@ -210,10 +208,13 @@ def max_workers() -> int:
 
 
 def check_writable(path: Optional[str]) -> None:
-    """Raise `OSError` if `path` is given but names no file that can be written."""
-    folder = os.path.dirname(os.path.abspath(path or os.curdir))
-    if path and ("\0" in path or os.path.isdir(path) or not os.access(folder, os.W_OK)):
-        raise OSError(f"cannot write {path}")
+    """Raise `OSError` if `path` is given but names no file that can be written,
+    as an empty path does."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not path or "\0" in path or os.path.isdir(path) or not os.access(folder, os.W_OK):
+        raise OSError(f"cannot write {path or repr(path)}")
 
 
 def replace_if_reproduced(
@@ -266,7 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"[{status}] {check['name']}  (max deviation {deviation:.3e})")
         for note in report["notes"]:
             print(f"note: {note}")
-    write_manifest(args, {"json": args.json})
+    write_manifest(args.manifest, args, {"json": args.json})
     return EXIT_OK if report["all_passed"] else EXIT_FAIL
 
 
@@ -275,7 +276,8 @@ def cmd_ghz(args: argparse.Namespace) -> int:
     cuts = args.cut or [args.n // 3]
     text = run_tableau(program, cuts, args.dump_stabilizers)
     sys.stdout.write(f"gates: {len(program)}\n{text}")
-    write_manifest(args, {"n": args.n, "localized": args.localized, "cut": cuts})
+    config = {"n": args.n, "localized": args.localized, "cut": cuts}
+    write_manifest(args.manifest, args, config)
     return EXIT_OK
 
 
@@ -283,7 +285,11 @@ def cmd_random(args: argparse.Namespace) -> int:
     config, outputs, digests = random_config(args)
     if args.manifest and os.path.abspath(args.manifest) in map(os.path.abspath, outputs):
         raise UsageError(f"--manifest {args.manifest} is also an output")
-    for path in outputs:
+    # `--manifest`, or else beside the CSV
+    manifest = args.manifest
+    if manifest is None and outputs:
+        manifest = outputs[0] + ".manifest.json"
+    for path in [*outputs, manifest]:
         check_writable(path)
     workers = max_workers()
     if args.oracle_check:
@@ -314,7 +320,7 @@ def cmd_random(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
-    write_manifest(args, config.to_dict(), outputs)
+    write_manifest(manifest, args, config.to_dict(), outputs)
     return EXIT_OK
 
 
@@ -328,7 +334,7 @@ def cmd_run_program(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as f:
         program = parse_program(f.read())
     sys.stdout.write(run_tableau(program, cuts or [], args.dump_stabilizers))
-    write_manifest(args, {"file": args.file, "entropy_cuts": cuts})
+    write_manifest(args.manifest, args, {"file": args.file, "entropy_cuts": cuts})
     return EXIT_OK
 
 

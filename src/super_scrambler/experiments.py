@@ -209,36 +209,51 @@ def circuit_stream(
 
 
 def _run_realization(
-    simulator: type,
-    config: ExperimentConfig,
-    seed_seq: np.random.SeedSequence,
-    skip_uncrossed: bool = False,
+    config: ExperimentConfig, oracle_check: bool, job: Tuple[int, np.random.SeedSequence]
 ) -> np.ndarray:
-    """The entropy at step 0 and every `sample_every` steps; none drawn past the last.
+    """Realization r of `job = (r, seed_seq)`: the tableau's entropy at step 0
+    and every `sample_every` steps; none drawn past the last.
 
     Each sample block runs as `_apply_steps` calls of at most `STREAM_BLOCK`
     steps, so a sparsely sampled run holds no more steps than the stream's
-    draw block.  With `skip_uncrossed`, an entropy is taken only if some C3
-    of the block had sites on both sides of the cut, and the last value
-    repeats otherwise: a gate on one side's sites alone maps that side's
-    columns invertibly, so neither T nor such a C3 changes S.
+    draw block.  An entropy is taken only if some C3 of the block had sites
+    on both sides of the cut, and the last value repeats otherwise: a gate on
+    one side's sites alone maps that side's columns invertibly, so neither T
+    nor such a C3 changes S.  With `oracle_check`, the same steps also run on
+    the dense `OperatorWavefunction`, which takes every entropy, so that rule
+    is tested at every sample; the first sample off by over 1e-6 raises
+    `OracleMismatch`.
     """
+    r, seed_seq = job
     region, sample_every = config.cut, config.sample_every
     out = np.empty(config.time_steps // sample_every + 1)
-    state = simulator.new_all_x(config.n_qubits)
+    tableau = SuperStabilizerTableau.new_all_x(config.n_qubits)
+    oracle = OperatorWavefunction.new_all_x(config.n_qubits) if oracle_check else None
     side = [site in region.sites for site in range(config.n_qubits + 1)]
     rng = np.random.default_rng(seed_seq)
     steps = circuit_stream(rng, config.n_qubits, (len(out) - 1) * sample_every)
-    out[0] = entropy = state.entropy(region)
-    for i in range(1, len(out)):
-        crossed = not skip_uncrossed
-        for start in range(0, sample_every, STREAM_BLOCK):
-            block = list(islice(steps, min(STREAM_BLOCK, sample_every - start)))
-            state._apply_steps(block)
-            crossed = crossed or _crosses(block, side)
-        if crossed:
-            entropy = state.entropy(region)
+    entropy = tableau.entropy(region)
+    for i in range(len(out)):
+        if i:
+            crossed = False
+            for start in range(0, sample_every, STREAM_BLOCK):
+                block = list(islice(steps, min(STREAM_BLOCK, sample_every - start)))
+                tableau._apply_steps(block)
+                crossed = crossed or _crosses(block, side)
+                if oracle_check:
+                    for t_site, control, target_1, target_2 in block:
+                        oracle.apply_t(t_site)
+                        oracle.apply_c3(control, target_1, target_2)
+            if crossed:
+                entropy = tableau.entropy(region)
         out[i] = entropy
+        if oracle_check:
+            expected = oracle.entropy(region)
+            if not abs(expected - entropy) <= 1e-6:  # a NaN on either side is bad
+                raise OracleMismatch(
+                    f"oracle mismatch: realization {r} step {i * sample_every}: "
+                    f"tableau {float(entropy)} oracle {float(expected)}"
+                )
     return out
 
 
@@ -251,25 +266,6 @@ def _crosses(steps: List[Tuple[int, int, int, int]], side: List[bool]) -> bool:
     return False
 
 
-def _checked_realization(
-    config: ExperimentConfig, oracle_check: bool, job: Tuple[int, np.random.SeedSequence]
-) -> np.ndarray:
-    r, seed_seq = job
-    # only the tableau's run skips the entropies that no crossing C3 can
-    # change (skip_uncrossed, the fourth argument); the oracle takes every
-    # one, so `--oracle-check` tests that rule at every sample
-    out = _run_realization(SuperStabilizerTableau, config, seed_seq, True)
-    if oracle_check:
-        oracle = _run_realization(OperatorWavefunction, config, seed_seq)
-        bad = np.flatnonzero(~(abs(oracle - out) <= 1e-6))  # a NaN on either side is bad
-        if bad.size:
-            raise OracleMismatch(
-                f"oracle mismatch: realization {r} step {bad[0] * config.sample_every}: "
-                f"tableau {float(out[bad[0]])} oracle {float(oracle[bad[0]])}"
-            )
-    return out
-
-
 def run_random_ensemble(
     config: ExperimentConfig, max_workers: int = 1, oracle_check: bool = False
 ) -> EntropySeries:
@@ -278,11 +274,12 @@ def run_random_ensemble(
     Realization r uses the r-th child of SeedSequence(rng_seed), so results
     are reproducible and independent of the worker count: min(max_workers,
     realizations) processes, or this one if that is 1.  With `oracle_check`,
-    each is replayed on the dense `OperatorWavefunction` in its worker; the
-    first sample off by over 1e-6 (realization, then step) raises `OracleMismatch`.
+    each also runs on the dense `OperatorWavefunction` in its worker, on the
+    same drawn steps; the first sample off by over 1e-6 (realization, then
+    step) raises `OracleMismatch`.
     """
     jobs = enumerate(np.random.SeedSequence(config.rng_seed).spawn(config.realizations))
-    realization = functools.partial(_checked_realization, config, oracle_check)
+    realization = functools.partial(_run_realization, config, oracle_check)
     workers = min(max_workers, config.realizations)
     steps = np.arange(0, config.time_steps + 1, config.sample_every)
     columns = np.empty((config.realizations, len(steps)))  # filled as each arrives

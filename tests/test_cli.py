@@ -411,6 +411,40 @@ class TestRandom:
         assert err == f"error: cannot write {summary}\n"
         assert list(tmp_path.iterdir()) == [summary]
 
+    def test_unwritable_default_manifest_io_error_before_ensemble(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the manifest beside the CSV is checked with the outputs
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        manifest = tmp_path / "r.csv.manifest.json"
+        manifest.mkdir()
+        code, out, err = run_cli(
+            ["random", "--n", "6", "--steps", "20", "--reals", "2", "--seed", "1",
+             "--out", str(tmp_path / "r.csv")],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: cannot write {manifest}\n"
+        assert list(tmp_path.iterdir()) == [manifest]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_io_error_before_ensemble(self, source, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("super_scrambler.cli.run_random_ensemble", no_ensemble)
+        monkeypatch.chdir(tmp_path)
+        argv = ["random", "--n", "6", "--steps", "5", "--reals", "1", "--seed", "1"]
+        if source == "flag":
+            argv += ["--out", ""]
+        else:
+            (tmp_path / "run.cfg").write_text("out =\n")
+            argv += ["--config", "run.cfg"]
+        listing = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: cannot write ''\n"
+        assert sorted(tmp_path.iterdir()) == listing
+
     def test_failed_write_leaves_recorded_outputs(self, tmp_path, capsys, monkeypatch):
         out, _ = self._first_run(tmp_path, capsys)
         recorded = {path: path.read_bytes() for path in tmp_path.iterdir()}
@@ -442,7 +476,8 @@ class TestRandom:
             assert os.getpid() != parent, "the realization ran in the test process"
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(experiments, "_run_realization", killed)
+        # the forked worker draws its circuit through the patched module
+        monkeypatch.setattr(experiments, "circuit_stream", killed)
         code, stdout, err = run_cli(
             ["random", "--n", "6", "--steps", "5", "--reals", "2", "--seed", "1",
              "--out", str(tmp_path / "run.csv")],
@@ -828,6 +863,25 @@ def test_unwritable_manifest_io_error_before_any_work(
     assert code == 3
     assert out == ""
     assert err == f"error: cannot write {target}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ghz.prog"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["ghz", "--n", "6"], ["run-program", "ghz.prog"],
+     ["random", "--n", "6", "--steps", "5", "--reals", "1", "--seed", "1", "--out", "r.csv"]],
+    ids=["verify", "ghz", "run-program", "random"],
+)
+def test_empty_manifest_io_error_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    for work in ("verify_gate_tables", "build_ghz_program", "parse_program",
+                 "run_random_ensemble"):
+        monkeypatch.setattr(f"super_scrambler.cli.{work}", no_ensemble)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ghz.prog").write_text("N 3\nT 1\nC3 1 2 3\n")
+    code, out, err = run_cli([*argv, "--manifest", ""], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: cannot write ''\n"
     assert [p.name for p in tmp_path.iterdir()] == ["ghz.prog"]
 
 

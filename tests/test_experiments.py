@@ -398,16 +398,19 @@ class TestRunRandomEnsemble:
         [(50, 5), (53, 5), (4, 7), (30, 1)],
         ids=["whole-blocks", "dropped-tail", "one-sample", "every-step"],
     )
-    def test_matches_oracle_co_run(self, time_steps, sample_every):
+    def test_matches_oracle_co_run(self, time_steps, sample_every, oracle_entropies):
         cfg = ExperimentConfig(
             n_qubits=6, time_steps=time_steps, realizations=3, rng_seed=21,
             sample_every=sample_every,
         )
         series = run_random_ensemble(cfg)
         assert np.array_equal(series.steps, np.arange(0, time_steps + 1, sample_every))
+        checked = run_random_ensemble(cfg, oracle_check=True)
+        assert np.array_equal(checked.values, series.values)
+        # the oracle's own values, one row per realization
+        oracles = np.reshape(oracle_entropies, (cfg.realizations, len(series.steps)))
         children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.realizations)
-        for r, child in enumerate(children):
-            oracle = experiments._run_realization(OperatorWavefunction, cfg, child)
+        for r, (child, oracle) in enumerate(zip(children, oracles)):
             # the scalar reference: one `random_step` per step on both simulators
             rng = np.random.default_rng(child)
             tab = SuperStabilizerTableau.new_all_x(6)
@@ -464,7 +467,7 @@ class TestRunRandomEnsemble:
                 return entropy(self, region)
             monkeypatch.setattr(cls, "entropy", counted)
         (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
-        experiments._checked_realization(cfg, True, (0, child))
+        experiments._run_realization(cfg, True, (0, child))
         # of the windows 1..10, only those at 5 and 6 cross the cut after site 6
         steps = circuit_stream(np.random.default_rng(child), 12, cfg.time_steps)
         crossing = sum(len({s <= 6 for s in sites}) == 2 for _, *sites in steps)
@@ -473,12 +476,13 @@ class TestRunRandomEnsemble:
 
     def test_no_step_of_a_rejected_block_reaches_the_kernel(self, monkeypatch):
         applied = []
+        apply_steps = SuperStabilizerTableau._apply_steps
 
-        class Recording(SuperStabilizerTableau):
-            def _apply_steps(self, steps):
-                applied.extend(steps)
-                super()._apply_steps(steps)
+        def recording(self, steps):
+            applied.extend(steps)
+            apply_steps(self, steps)
 
+        monkeypatch.setattr(SuperStabilizerTableau, "_apply_steps", recording)
         cfg = ExperimentConfig(
             n_qubits=12, time_steps=STREAM_BLOCK + 40, realizations=1, rng_seed=2,
             sample_every=7,
@@ -489,29 +493,30 @@ class TestRunRandomEnsemble:
             np.random, "default_rng", lambda seed: RiggedDraws(real(seed), 1, 0, 13)
         )
         with pytest.raises(ExperimentError, match="out of range for 12 qubits"):
-            experiments._run_realization(Recording, cfg, child)
+            experiments._run_realization(cfg, False, (0, child))
         # the blocks of 7 steps that the first draw holds whole, and no more
         monkeypatch.undo()
         whole = STREAM_BLOCK // 7 * 7
         assert applied == scalar_steps(np.random.default_rng(child), 12, whole)
 
-    def test_sparse_samples_reach_the_kernel_in_stream_sized_chunks(self):
+    def test_sparse_samples_reach_the_kernel_in_stream_sized_chunks(self, monkeypatch):
         # sample blocks of three stream blocks and 5 steps, and a dropped tail:
         # no kernel call holds more steps than one draw block
         sizes = []
+        apply_steps = SuperStabilizerTableau._apply_steps
 
-        class Recording(SuperStabilizerTableau):
-            def _apply_steps(self, steps):
-                sizes.append(len(steps))
-                super()._apply_steps(steps)
+        def recording(self, steps):
+            sizes.append(len(steps))
+            apply_steps(self, steps)
 
+        monkeypatch.setattr(SuperStabilizerTableau, "_apply_steps", recording)
         n, every = 12, 3 * STREAM_BLOCK + 5
         cfg = ExperimentConfig(
             n_qubits=n, time_steps=2 * every + 3, realizations=1, rng_seed=6,
             sample_every=every,
         )
         (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
-        got = experiments._run_realization(Recording, cfg, child, skip_uncrossed=True)
+        got = experiments._run_realization(cfg, False, (0, child))
         assert sizes == 2 * ([STREAM_BLOCK] * 3 + [5])
         rng = np.random.default_rng(child)
         tab = SuperStabilizerTableau.new_all_x(n)
@@ -546,14 +551,13 @@ class TestRunRandomEnsemble:
         assert want == [0, 1, 2, 1, 0]
         monkeypatch.setattr(experiments, "circuit_stream", stream)
         (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
-        for skip in (False, True):
-            got = experiments._run_realization(
-                SuperStabilizerTableau, cfg, child, skip_uncrossed=skip
-            )
+        # with the oracle check, the oracle takes every entropy and must agree
+        for oracle_check in (False, True):
+            got = experiments._run_realization(cfg, oracle_check, (0, child))
             assert got.tolist() == want
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_oracle_simulator_matches_tableau(self, workers):
+    def test_oracle_simulator_matches_tableau(self, workers, oracle_entropies):
         cfg = ExperimentConfig(
             n_qubits=6, time_steps=40, realizations=2, rng_seed=8,
             cut=Region([5, 2, 3]), sample_every=3,
@@ -562,8 +566,9 @@ class TestRunRandomEnsemble:
         tableau = run_random_ensemble(cfg)
         children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.realizations)
         for r, child in enumerate(children):
-            oracle = experiments._run_realization(OperatorWavefunction, cfg, child)
-            assert np.allclose(oracle, tableau.values[:, r], atol=1e-6, rtol=0)
+            oracle_entropies.clear()
+            experiments._run_realization(cfg, True, (r, child))
+            assert np.allclose(oracle_entropies, tableau.values[:, r], atol=1e-6, rtol=0)
         checked = run_random_ensemble(cfg, max_workers=workers, oracle_check=True)
         assert np.array_equal(checked.steps, tableau.steps)
         assert np.array_equal(checked.values, tableau.values)
@@ -575,6 +580,50 @@ class TestRunRandomEnsemble:
             n_qubits=8, time_steps=60, realizations=3, rng_seed=13, sample_every=2
         )
         checked = run_random_ensemble(cfg, max_workers=2, oracle_check=True)
+        assert np.array_equal(checked.values, run_random_ensemble(cfg).values)
+
+    @pytest.mark.parametrize("offset", [0.5, float("nan")], ids=["0.5", "nan"])
+    def test_mismatch_names_the_first_failing_sample(self, offset, monkeypatch):
+        cfg = ExperimentConfig(
+            n_qubits=8, time_steps=62, realizations=3, rng_seed=13, sample_every=4
+        )
+        series = run_random_ensemble(cfg)
+        # the oracle is off from its k-th call on (from 0): at sample 5 of
+        # realization 1, as each realization takes 16 samples
+        k = len(series.steps) + 5
+        returned = []
+        entropy = OperatorWavefunction.entropy
+
+        def off(self, region):
+            returned.append(entropy(self, region) + (offset if len(returned) >= k else 0))
+            return returned[-1]
+
+        monkeypatch.setattr(OperatorWavefunction, "entropy", off)
+        with pytest.raises(OracleMismatch) as failure:
+            run_random_ensemble(cfg, oracle_check=True)
+        assert str(failure.value) == (
+            f"oracle mismatch: realization 1 step {5 * cfg.sample_every}: "
+            f"tableau {float(series.values[5, 1])} oracle {returned[-1]}"
+        )
+        # the run stops at that sample: no entropy after it
+        assert len(returned) == k + 1
+
+    def test_oracle_check_draws_each_circuit_once(self, monkeypatch):
+        calls = []
+        stream = experiments.circuit_stream
+
+        def counted(rng, n_qubits, steps):
+            calls.append(steps)
+            return stream(rng, n_qubits, steps)
+
+        monkeypatch.setattr(experiments, "circuit_stream", counted)
+        cfg = ExperimentConfig(
+            n_qubits=6, time_steps=23, realizations=3, rng_seed=5, sample_every=4
+        )
+        checked = run_random_ensemble(cfg, oracle_check=True)
+        # the dropped tail of 3 steps is never drawn
+        assert calls == [20] * 3
+        monkeypatch.undo()
         assert np.array_equal(checked.values, run_random_ensemble(cfg).values)
 
     def test_oracle_mismatch_survives_pickling(self):

@@ -118,7 +118,8 @@ SETTINGS = {
     "cut": ([0, 1, 3], [-1, 7, 2**70]),
     "sample_every": ([1, 2, 5], [0]),
     "out": (
-        ["{dir}/a.csv", "{dir}/b.csv"], ["{dir}/missing/a.csv", "{dir}", "{dir}/a\0.csv"]
+        ["{dir}/a.csv", "{dir}/b.csv"],
+        ["{dir}/missing/a.csv", "{dir}", "{dir}/a\0.csv", ""],
     ),
 }
 FIELDS = {key: field for key, (field, _) in cli.RANDOM_KEYS.items()}

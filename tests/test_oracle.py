@@ -17,7 +17,6 @@ from super_scrambler.oracle import (
     _embed,
     _pauli_string,
 )
-from super_scrambler import experiments
 from super_scrambler.cli import main
 from super_scrambler.experiments import (
     ExperimentConfig,
@@ -501,13 +500,12 @@ class TestEntropyCertificate:
             assert psi.entropy(region) == want, region
             assert len(svd_calls) == 1, region
 
-    def test_n16_realization_certifies_every_sample(self, svd_calls):
+    def test_n16_realization_certifies_every_sample(self, svd_calls, oracle_entropies):
         config = ExperimentConfig(16, 300, 1, rng_seed=5)
-        (child,) = np.random.SeedSequence(config.rng_seed).spawn(1)
-        oracle = experiments._run_realization(OperatorWavefunction, config, child)
+        tableau = run_random_ensemble(config, oracle_check=True)
         assert svd_calls == []
-        tableau = run_random_ensemble(config)
-        assert np.abs(np.array(oracle) - tableau.values[:, 0]).max() < 1e-9
+        assert len(oracle_entropies) == 301
+        assert np.abs(np.array(oracle_entropies) - tableau.values[:, 0]).max() < 1e-9
         assert tableau.values.max() >= 5
 
 

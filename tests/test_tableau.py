@@ -7,7 +7,7 @@ import pytest
 from super_scrambler.experiments import build_ghz_program, circuit_stream
 from super_scrambler.gf2 import gf2_rank
 from super_scrambler.model import C3, OperatorProgram, Swap, T
-from super_scrambler.oracle import OperatorWavefunction, OracleError
+from super_scrambler.oracle import OperatorWavefunction
 from super_scrambler.tableau import (
     Region,
     SuperStabilizerTableau,
@@ -468,23 +468,20 @@ class TestApplySteps:
         blocked.check_invariants()
 
     def test_oracle_steps_match_the_tableau(self):
-        # the oracle's `_apply_steps` loops its own checked gates
+        # the steps on the oracle go through its own checked gates
         rng = np.random.default_rng(77)
         tab = SuperStabilizerTableau.new_all_x(6)
         psi = OperatorWavefunction.new_all_x(6)
         for count in (0, 1, 4, 9):
             steps = self.random_steps(rng, 6, count)
             tab._apply_steps(steps)
-            psi._apply_steps(steps)
+            for t_site, control, target_1, target_2 in steps:
+                psi.apply_t(t_site)
+                psi.apply_c3(control, target_1, target_2)
             for p in range(1, 6):
                 assert psi.entropy(range(1, p + 1)) == pytest.approx(
                     tab.entropy(Region.prefix(p)), abs=1e-9
                 )
-
-    def test_oracle_steps_check_every_gate(self):
-        psi = OperatorWavefunction.new_all_x(4)
-        with pytest.raises(OracleError, match="^C3 sites must be distinct$"):
-            psi._apply_steps([(1, 2, 3, 4), (2, 3, 3, 1)])
 
 
 class TestRankChain:
