@@ -197,35 +197,47 @@ class SuperStabilizerTableau(GateSimulator):
         The columns go to the tableau's one `_RankChain` site by site (x_j,
         then z_j) from the side's outer end: from site N down when it holds
         site N but not site 1, else from its lowest site up.  So nested
-        prefix or suffix cuts of one state share one elimination.
+        prefix or suffix cuts of one state share one elimination.  For a
+        region that is a block, the side (the block, or the runs below and
+        above it) is gathered by list slices; for any other region, site by
+        site.
         """
         n = self.n_qubits
         region.validate(n)
         sites, lo, hi = region.sites, region.lo, region.hi
-        block = hi - lo + 1 == len(sites)
-        # the 0-based columns of the smaller side (of two halves, the one
-        # with site 1, so both calls of a pair rank the same rows), lowest first
-        if 2 * len(sites) < n or (2 * len(sites) == n and lo == 1):
-            cols = list(range(lo - 1, hi)) if block else sorted([s - 1 for s in sites])
-        elif block:
-            # the complement of a block: the sites below and above it
-            cols = [*range(lo - 1), *range(hi, n)]
-        else:
-            cols = [j for j in range(n) if j + 1 not in sites]
-        if cols and cols[0] and cols[-1] == n - 1:
-            cols.reverse()
         x, z = self.x, self.z
-        rows = [0] * (2 * len(cols))
-        rows[::2] = [x[j] for j in cols]
-        rows[1::2] = [z[j] for j in cols]
-        return self._chain.rank(rows) - len(cols)
+        # the smaller side (of two halves, the one with site 1, so both calls
+        # of a pair rank the same rows)
+        small = 2 * len(sites) < n or (2 * len(sites) == n and lo == 1)
+        if hi - lo + 1 != len(sites):
+            cols = sorted([s - 1 for s in sites]) if small else [
+                j for j in range(n) if j + 1 not in sites]
+            if cols and cols[0] and cols[-1] == n - 1:
+                cols.reverse()
+            xs, zs = [x[j] for j in cols], [z[j] for j in cols]
+        elif small or lo == 1:
+            # one run of 0-based columns [a, b): the block, or the complement
+            # of a prefix; from site N down when it holds N but not site 1
+            a, b = (lo - 1, hi) if small else (hi, n)
+            run = slice(b - 1, a - 1, -1) if a and b == n else slice(a, b)
+            xs, zs = x[run], z[run]
+        else:
+            # the complement of a block: the sites below it, then those above
+            xs, zs = x[:lo - 1] + x[hi:], z[:lo - 1] + z[hi:]
+        rows = [0] * (2 * len(xs))
+        rows[::2] = xs
+        rows[1::2] = zs
+        return self._chain.rank(rows) - len(xs)
 
     # -- invariants --------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Assert mutual commutation and GF(2) independence of the stabilizers."""
         n = self.n_qubits
-        xs, zs = _transpose(self.x, n), _transpose(self.z, n)
+        # the rows: those `loads` parsed, handed over for this one call, else
+        # the columns transposed
+        parsed = self.__dict__.pop("_rows", None)
+        xs, zs = parsed or (_transpose(self.x, n), _transpose(self.z, n))
         rows = [x | (z << n) for x, z in zip(xs, zs)]
         flipped = [z | (x << n) for x, z in zip(xs, zs)]
         for a, row in enumerate(rows):
@@ -270,10 +282,14 @@ class SuperStabilizerTableau(GateSimulator):
             if bad:
                 raise TableauError(f"line {i + 1}: bad stabilizer character {bad[0]!r}")
         # reversed, char j*n + k is stabilizer n-1-j at site n-k: every n-th
-        # char from n-1-j is then column j, most significant bit first
+        # char from n-1-j is then column j, and the n chars from j*n are row
+        # n-1-j, each most significant bit first
         labels = "".join(lines)[::-1]
-        x, z = ([int(plane[n - 1 - j::n], 2) for j in range(n)]
-                for plane in (labels.translate(_X_BIT), labels.translate(_Z_BIT)))
+        planes = labels.translate(_X_BIT), labels.translate(_Z_BIT)
+        x, z = ([int(plane[n - 1 - j::n], 2) for j in range(n)] for plane in planes)
         tab = cls(n, x, z)
+        tab._rows = [[int(plane[k:k + n], 2) for k in range(n * n - n, -1, -n)]
+                     for plane in planes]
+        del lines, labels, planes  # the check holds no copy of the text
         tab.check_invariants()
         return tab

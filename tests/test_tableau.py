@@ -588,6 +588,44 @@ class TestRankChain:
         assert restarts <= 2
 
 
+class TestBlockGather:
+    """A block's side, the block or the two runs around it, is gathered by
+    list slices: every value must equal a rank from scratch, and a block and
+    its complement must hand the rank chain the same rows."""
+
+    @staticmethod
+    def check(tab, sites, shared):
+        """S(sites) against `rank_entropy`; with `shared`, the chain must
+        read off or extend the previous call's rows, not start afresh."""
+        before = list(tab._chain.rows)
+        assert tab.entropy(Region(sites)) == rank_entropy(tab, sorted(sites)), sorted(sites)
+        if shared:
+            assert tab._chain.rows[: len(before)] == before, sorted(sites)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_every_block_and_its_complement(self, n):
+        rng = np.random.default_rng(3000 + n)
+        tab = random_evolved(rng, n, 4 * n)
+        every = set(range(1, n + 1))
+        blocks = [set()] + [set(range(lo, hi + 1))
+                            for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+        for written in (False, True):
+            if written:
+                # a direct write to one column: S at one site, which keeps
+                # the stabilizers commuting and independent
+                j = int(rng.integers(0, n))
+                tab.z[j] ^= tab.x[j]
+            for block in blocks:
+                for first, second in ((block, every - block), (every - block, block)):
+                    self.check(tab, first, shared=False)
+                    self.check(tab, second, shared=True)
+            # nested prefixes and suffixes of the smaller side: one elimination
+            for p in range(1, (n + 1) // 2):
+                self.check(tab, set(range(1, p + 1)), shared=p > 1)
+            for p in range(1, (n + 1) // 2):
+                self.check(tab, set(range(n - p + 1, n + 1)), shared=p > 1)
+
+
 class TestEntropyProfile:
     """Every prefix entropy S(p), p = 0..N, against `profile_reference`,
     which shares no code with `entropy` or `gf2`."""
@@ -694,6 +732,35 @@ class TestSerialization:
     def test_non_commuting_set_rejected(self):
         with pytest.raises(TableauError, match="anticommute"):
             SuperStabilizerTableau.loads("XII\nZII\nIIZ\n")
+
+    def test_corruptions_fail_as_check_invariants_fails(self):
+        # one character of a valid dump changed to another label: `loads`
+        # checks the rows it parsed, and must raise exactly when
+        # `check_invariants` raises on the same columns, with its message
+        rng = np.random.default_rng(41)
+        outcomes = {"valid": 0, "anticommute": 0, "dependent": 0}
+        for n in [*range(2, 41), 120]:
+            for tab in codec_states(n):
+                lines = tab.dumps().splitlines()
+                for _ in range(12):
+                    i, j = (int(v) for v in rng.integers(0, n, size=2))
+                    char = "IXZY".replace(lines[i][j], "")[int(rng.integers(0, 3))]
+                    text = "\n".join(lines[:i] + [lines[i][:j] + char + lines[i][j + 1:]]
+                                     + lines[i + 1:]) + "\n"
+                    expected = None
+                    try:
+                        SuperStabilizerTableau(n, *reference_loads(text)).check_invariants()
+                    except TableauError as e:
+                        expected = str(e)
+                    try:
+                        SuperStabilizerTableau.loads(text)
+                        got = None
+                    except TableauError as e:
+                        got = str(e)
+                    assert got == expected, (n, i, j, char)
+                    outcomes["valid" if got is None else
+                             "dependent" if "dependent" in got else "anticommute"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
 
     @pytest.mark.parametrize(
         "text, message",
