@@ -611,8 +611,8 @@ class TestBlockGather:
                             for lo in range(1, n + 1) for hi in range(lo, n + 1)]
         for written in (False, True):
             if written:
-                # a direct write to one column: S at one site, which keeps
-                # the stabilizers commuting and independent
+                # a direct write to one column, z ^= x at one site (a phase
+                # gate), which keeps the stabilizers commuting and independent
                 j = int(rng.integers(0, n))
                 tab.z[j] ^= tab.x[j]
             for block in blocks:
@@ -733,6 +733,15 @@ class TestSerialization:
         with pytest.raises(TableauError, match="anticommute"):
             SuperStabilizerTableau.loads("XII\nZII\nIIZ\n")
 
+    @staticmethod
+    def message(call):
+        """The message of the `TableauError` that `call()` raises, else None."""
+        try:
+            call()
+        except TableauError as e:
+            return str(e)
+        return None
+
     def test_corruptions_fail_as_check_invariants_fails(self):
         # one character of a valid dump changed to another label: `loads`
         # checks the rows it parsed, and must raise exactly when
@@ -745,18 +754,12 @@ class TestSerialization:
                 for _ in range(12):
                     i, j = (int(v) for v in rng.integers(0, n, size=2))
                     char = "IXZY".replace(lines[i][j], "")[int(rng.integers(0, 3))]
-                    text = "\n".join(lines[:i] + [lines[i][:j] + char + lines[i][j + 1:]]
-                                     + lines[i + 1:]) + "\n"
-                    expected = None
-                    try:
-                        SuperStabilizerTableau(n, *reference_loads(text)).check_invariants()
-                    except TableauError as e:
-                        expected = str(e)
-                    try:
-                        SuperStabilizerTableau.loads(text)
-                        got = None
-                    except TableauError as e:
-                        got = str(e)
+                    broken = list(lines)
+                    broken[i] = lines[i][:j] + char + lines[i][j + 1:]
+                    text = "\n".join(broken) + "\n"
+                    checked = SuperStabilizerTableau(n, *reference_loads(text))
+                    expected = self.message(checked.check_invariants)
+                    got = self.message(lambda: SuperStabilizerTableau.loads(text))
                     assert got == expected, (n, i, j, char)
                     outcomes["valid" if got is None else
                              "dependent" if "dependent" in got else "anticommute"] += 1
