@@ -150,7 +150,8 @@ def build_ghz_program(n_qubits: int, localized: bool = False) -> OperatorProgram
             gates.extend(localize_c3(c3, n_qubits))
         else:
             gates.append(c3)
-    return OperatorProgram(n_qubits, tuple(gates))
+    # in range and distinct by construction, and `localize_c3` checks each C3
+    return OperatorProgram._checked(n_qubits, tuple(gates))
 
 
 def random_step(rng: np.random.Generator, n_qubits: int) -> List[SuperGate]:

@@ -127,6 +127,15 @@ class OperatorProgram(_Record):
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "gates", gates)
 
+    @classmethod
+    def _checked(cls, n_qubits: int, gates: Tuple[SuperGate, ...]) -> OperatorProgram:
+        """A program of gates its caller has already checked on `n_qubits`,
+        built without the constructor's check; only for speed."""
+        program = object.__new__(cls)
+        object.__setattr__(program, "n_qubits", n_qubits)
+        object.__setattr__(program, "gates", gates)
+        return program
+
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -295,5 +304,5 @@ def parse_program(text: str) -> OperatorProgram:
     if n_qubits is None:
         raise ProgramError("missing N header")
     if state_space:
-        return reverse_from_state_space(gates, n_qubits)
-    return OperatorProgram(n_qubits, tuple(gates))
+        gates.reverse()
+    return OperatorProgram._checked(n_qubits, tuple(gates))
