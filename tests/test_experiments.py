@@ -24,7 +24,7 @@ from super_scrambler.experiments import (
     run_random_ensemble,
     write_csv,
 )
-from super_scrambler.model import C3, Swap, T
+from super_scrambler.model import C3, Swap, T, validate_gate
 from super_scrambler.oracle import OperatorWavefunction
 from super_scrambler.tableau import Region, SuperStabilizerTableau
 
@@ -70,6 +70,15 @@ class TestBuildGhzProgram:
         swaps = {id(g) for g in gates if type(g) is Swap}
         assert len(swaps) <= 119
         assert len({id(g) for g in gates}) == 40 + 40 + len(swaps)
+
+    @pytest.mark.parametrize("localized", [False, True])
+    def test_every_gate_passes_the_check(self, localized):
+        # the builder hands its gates to `OperatorProgram` without its check
+        for n in range(3, 61, 3):
+            program = build_ghz_program(n, localized)
+            assert program.n_qubits == n
+            for gate in program.gates:
+                validate_gate(gate, n)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ExperimentError):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from super_scrambler import model
+from super_scrambler.experiments import build_ghz_program
 from super_scrambler.model import (
     C3,
     STATE_SPACE_DIRECTIVE,
@@ -593,6 +594,75 @@ class TestParseProgramMatchesReference:
         for _ in range(2):
             with pytest.raises(ProgramError, match="^line 2: repeated index"):
                 parse_program("N 3\nC3 1 1 2\n")
+
+
+def counted_checks(monkeypatch):
+    """The gates `model.validate_gate` is called on from now on; each is
+    still checked."""
+    calls = []
+
+    def counted(gate, n_qubits):
+        calls.append(gate)
+        validate_gate(gate, n_qubits)
+
+    monkeypatch.setattr(model, "validate_gate", counted)
+    return calls
+
+
+def ghz_120_text(state_space):
+    """The N=120 localized GHZ program as `format_program` writes it, or as
+    the directive, its header and its gate lines in reverse."""
+    text = format_program(build_ghz_program(120, localized=True))
+    if not state_space:
+        return text
+    header, *lines = text.splitlines()
+    return "\n".join([STATE_SPACE_DIRECTIVE, header, *reversed(lines)]) + "\n"
+
+
+class TestEachProgramCheckedOnce:
+    """The parser and the GHZ builder hand their checked gates to
+    `OperatorProgram`, which does not check them a second time."""
+
+    def test_ghz_builder_checks_only_its_c3s(self, monkeypatch):
+        calls = counted_checks(monkeypatch)
+        program = build_ghz_program(120, localized=True)
+        # once per `localize_c3`; the constructor's check would add 198
+        assert len(calls) == 40 and set(map(type, calls)) == {C3}
+        assert len(program) == 9440
+
+    @pytest.mark.parametrize("state_space", [False, True])
+    def test_parser_checks_each_distinct_line_once(self, monkeypatch, state_space):
+        text = ghz_120_text(state_space)
+        calls = counted_checks(monkeypatch)
+        program = parse_program(text)
+        # 40 T, 40 local C3 and 118 adjacent SWAP lines
+        assert len(calls) == len(set(calls)) == 198
+        # the state-space text parses to the same program as the forward one
+        assert program == build_ghz_program(120, localized=True)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("T 1\nSWAP 1 2\nT 1\nC3 2 3 5\nT 1\n",
+             "line 6: site 5 out of range 1..4 in C3(control=2, target_1=3, target_2=5)"),
+            ("SWAP 1 2\n" * 3 + "SWAP 3 3\nSWAP 1 2\n",
+             "line 6: repeated index in Swap(site_a=3, site_b=3)"),
+        ],
+    )
+    def test_bad_gate_in_state_space_text_reports_its_line(self, body, message):
+        with pytest.raises(ProgramError) as e:
+            parse_program(f"{STATE_SPACE_DIRECTIVE}\nN 4\n{body}")
+        assert str(e.value) == message
+
+    def test_public_paths_keep_their_check(self):
+        with pytest.raises(ProgramError) as e:
+            reverse_from_state_space([T(1), Swap(2, 4)], 3)
+        assert str(e.value) == "site 4 out of range 1..3 in Swap(site_a=2, site_b=4)"
+        # pickle rebuilds through the constructor, which checks
+        unchecked = pickle.dumps(OperatorProgram._checked(3, (T(4),)))
+        with pytest.raises(ProgramError) as e:
+            pickle.loads(unchecked)
+        assert str(e.value) == "site 4 out of range 1..3 in T(site=4)"
 
 
 class TestLocalizeC3MatchesReference:
