@@ -13,7 +13,6 @@ from .model import (
     localize_c3,
     parse_program,
     format_program,
-    reverse_from_state_space,
 )
 from .tableau import Region, SuperStabilizerTableau, TableauError
 from .gf2 import gf2_rank
@@ -47,6 +46,6 @@ def __getattr__(name):
 
 __all__ = sorted([
     "C3", "OperatorProgram", "ProgramError", "Swap", "T",
-    "localize_c3", "parse_program", "format_program", "reverse_from_state_space",
+    "localize_c3", "parse_program", "format_program",
     "Region", "SuperStabilizerTableau", "TableauError", "gf2_rank", *_LAZY,
 ])

@@ -80,7 +80,8 @@ class ExperimentConfig:
             raise ExperimentError(f"output must be a path string, got {self.output!r}")
         n = self.n_qubits
         cut = n // 2 if self.cut is None else self.cut
-        if isinstance(cut, bool):
+        # a str or a dict iterates, but not over sites
+        if isinstance(cut, (bool, str, dict)) or not isinstance(cut, (int, Iterable)):
             raise ExperimentError(
                 f"cut must be a site count or a site list, got {cut!r}"
             )

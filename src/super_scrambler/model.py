@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 
 
 class ProgramError(ValueError):
@@ -119,10 +119,7 @@ class OperatorProgram(_Record):
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         gates = tuple(gates)
-        # one check per distinct gate object, in order of first occurrence:
-        # the tuple keeps every gate alive, so no two share an id, and equal
-        # but distinct gates such as T(1) and T(True) are each checked
-        for g in dict(zip(map(id, gates), gates)).values():
+        for g in gates:
             validate_gate(g, n_qubits)
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "gates", gates)
@@ -163,20 +160,8 @@ class GateSimulator:
         """Apply the gates in program order (index 0 first)."""
         if program.n_qubits != self.n_qubits:
             raise self.error("program/simulator dimension mismatch")
-        method = {kind: getattr(self, name) for kind, (_, name) in GATES.items()}
         for gate in program.gates:
-            method[type(gate)](*gate)
-
-
-def reverse_from_state_space(
-    gates: Sequence[SuperGate], n_qubits: int
-) -> OperatorProgram:
-    """Convert a state-space circuit (first gate first) into operator order.
-
-    Heisenberg evolution applies the final state-space gate first in
-    operator space, so the list is simply reversed.
-    """
-    return OperatorProgram(n_qubits, tuple(reversed(gates)))
+            self.apply_gate(gate)
 
 
 def localize_c3(c3: C3, n_qubits: int) -> List[SuperGate]:

@@ -345,9 +345,12 @@ class TestRandom:
          ("cut", False, "cut must be a site count or a site list, got False"),
          ("output", 5, "output must be a path string, got 5"),
          ("output", ["a.csv"], "output must be a path string, got ['a.csv']"),
-         ("cut", [True, 2], "cut sites must be integers, got [True, 2]")],
+         ("cut", [True, 2], "cut sites must be integers, got [True, 2]"),
+         ("cut", 6.5, "cut must be a site count or a site list, got 6.5"),
+         ("cut", "3", "cut must be a site count or a site list, got '3'"),
+         ("cut", {"a": 1}, "cut must be a site count or a site list, got {'a': 1}")],
         ids=["negative-seed", "cut-true", "cut-false", "output-int", "output-list",
-             "cut-bool-site"],
+             "cut-bool-site", "cut-float", "cut-string", "cut-object"],
     )
     def test_rerun_from_manifest_bad_value_before_ensemble(
         self, key, value, message, tmp_path, capsys, monkeypatch

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import tracemalloc
 from itertools import islice
 
@@ -365,6 +366,13 @@ class TestRunRandomEnsemble:
         cfg = ExperimentConfig(**settings, cut=cut)
         assert cfg.cut == Region.prefix(3)
         assert cfg == ExperimentConfig(**settings, cut=3)
+
+    def test_config_numpy_int_cut_names_the_field(self):
+        # a numpy integer is neither an int nor a site list, as for the int fields
+        cut = np.int64(6)
+        message = f"^cut must be a site count or a site list, got {re.escape(repr(cut))}$"
+        with pytest.raises(ExperimentError, match=message):
+            ExperimentConfig(n_qubits=6, time_steps=10, realizations=1, rng_seed=3, cut=cut)
 
     @pytest.mark.parametrize("cut", [-1, 7, 2**70])
     def test_config_int_cut_out_of_range(self, cut):

@@ -21,25 +21,9 @@ from super_scrambler.model import (
     format_program,
     localize_c3,
     parse_program,
-    reverse_from_state_space,
     validate_gate,
 )
 from super_scrambler.tableau import Region, SuperStabilizerTableau
-
-
-def random_gates(rng, n, count):
-    gates = []
-    for _ in range(count):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            gates.append(T(int(rng.integers(1, n + 1))))
-        elif kind == 1:
-            a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-            gates.append(Swap(int(a), int(b)))
-        else:
-            c, t1, t2 = rng.choice(np.arange(1, n + 1), size=3, replace=False)
-            gates.append(C3(int(c), int(t1), int(t2)))
-    return gates
 
 
 @pytest.mark.parametrize(
@@ -105,33 +89,6 @@ def test_records_construct_by_keyword():
     assert OperatorProgram(n_qubits=2).gates == ()
     assert OperatorProgram(n_qubits=2, gates=[T(1)]).gates == (T(1),)
     assert Region(sites=[2, 1]) == Region([1, 2])
-
-
-class TestReverseFromStateSpace:
-    def test_two_gate_example(self):
-        prog = reverse_from_state_space([T(1), C3(1, 2, 3)], 3)
-        assert prog.gates == (C3(1, 2, 3), T(1))
-
-    def test_empty(self):
-        assert reverse_from_state_space([], 3).gates == ()
-
-    def test_single_gate(self):
-        assert reverse_from_state_space([Swap(1, 2)], 2).gates == (Swap(1, 2),)
-
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            gates = random_gates(rng, 7, 15)
-            twice = reverse_from_state_space(
-                reverse_from_state_space(gates, 7).gates, 7
-            )
-            assert list(twice.gates) == gates
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ProgramError):
-            reverse_from_state_space([T(4)], 3)
-        with pytest.raises(ProgramError):
-            reverse_from_state_space([C3(1, 1, 2)], 3)
 
 
 class TestValidateGate:
@@ -382,7 +339,7 @@ def reference_parse_program(text):
     if n_qubits is None:
         raise ProgramError("missing N header")
     if state_space:
-        return reverse_from_state_space(gates, n_qubits)
+        return OperatorProgram(n_qubits, tuple(reversed(gates)))
     return OperatorProgram(n_qubits, tuple(gates))
 
 
@@ -524,7 +481,7 @@ class TestValidateGateMatchesReference:
 
 
 def check_in_order(n_qubits, gates):
-    """The one-check rule's reference: every gate checked, in program order."""
+    """The constructor's check, as a reference: every gate, in program order."""
     for g in gates:
         validate_gate(g, n_qubits)
 
@@ -550,12 +507,15 @@ class TestOperatorProgramChecksOnce:
         else:
             assert got == expected
 
-    def test_one_check_per_distinct_object(self, monkeypatch):
+    def test_every_gate_checked_unless_already_checked(self, monkeypatch):
         calls = []
         monkeypatch.setattr(model, "validate_gate", lambda g, n: calls.append(g))
-        gate = T(1)
-        OperatorProgram(3, (gate,) * 1000)
-        assert calls == [gate]
+        gates = (T(1),) * 1000
+        OperatorProgram(3, gates)
+        assert calls == list(gates)
+        calls.clear()
+        OperatorProgram._checked(3, gates)
+        assert calls == []
 
 
 class TestParseProgramMatchesReference:
@@ -656,7 +616,7 @@ class TestEachProgramCheckedOnce:
 
     def test_public_paths_keep_their_check(self):
         with pytest.raises(ProgramError) as e:
-            reverse_from_state_space([T(1), Swap(2, 4)], 3)
+            OperatorProgram(3, (Swap(2, 4), T(1)))
         assert str(e.value) == "site 4 out of range 1..3 in Swap(site_a=2, site_b=4)"
         # pickle rebuilds through the constructor, which checks
         unchecked = pickle.dumps(OperatorProgram._checked(3, (T(4),)))

@@ -40,6 +40,32 @@ def test_core_imports_without_numpy():
     assert done.stdout.split() == []
 
 
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # under the project's filters, which make a warning an error, a failing
+    # Hypothesis test still reports its example, and the session ends normally
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+         "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
+
+
 @pytest.mark.parametrize("name", super_scrambler.__all__)
 def test_export_is_defining_module_object(name):
     value = getattr(super_scrambler, name)
