@@ -186,9 +186,9 @@ def circuit_stream(
     `steps` successive `random_step` calls would leave it.
 
     Each block is range-checked before any of its steps is yielded, since
-    the tableau's block kernel takes them unchecked: a T site in 1..N, a
+    both simulators' block kernels take them unchecked: a T site in 1..N, a
     window start in 1..N-2 and a control slot in 0..2, which put the three
-    C3 sites in 1..N and apart.
+    C3 sites in 1..N, apart and adjacent.
     """
     if n_qubits < 3:
         raise ExperimentError("random step needs at least 3 qubits")
@@ -221,10 +221,10 @@ def _run_realization(
     draw block.  An entropy is taken only if some C3 of the block had sites
     on both sides of the cut, and the last value repeats otherwise: a gate on
     one side's sites alone maps that side's columns invertibly, so neither T
-    nor such a C3 changes S.  With `oracle_check`, the same steps also run on
-    the dense `OperatorWavefunction`, which takes every entropy, so that rule
-    is tested at every sample; the first sample off by over 1e-6 raises
-    `OracleMismatch`.
+    nor such a C3 changes S.  With `oracle_check`, each chunk also runs through
+    `OperatorWavefunction._apply_steps`, and the oracle takes every entropy, so
+    that rule is tested at every sample; the first sample off by over 1e-6
+    raises `OracleMismatch`.
     """
     r, seed_seq = job
     region, sample_every = config.cut, config.sample_every
@@ -243,9 +243,7 @@ def _run_realization(
                 tableau._apply_steps(block)
                 crossed = crossed or _crosses(block, side)
                 if oracle_check:
-                    for t_site, control, target_1, target_2 in block:
-                        oracle.apply_t(t_site)
-                        oracle.apply_c3(control, target_1, target_2)
+                    oracle._apply_steps(block)
             if crossed:
                 entropy = tableau.entropy(region)
         out[i] = entropy

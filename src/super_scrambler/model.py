@@ -84,22 +84,25 @@ GATES = {T: ("T", "apply_t"), Swap: ("SWAP", "apply_swap"), C3: ("C3", "apply_c3
 
 
 def validate_gate(gate: SuperGate, n_qubits: int) -> None:
-    # One rule for every kind in `GATES`: a bool or non-integral site is a
-    # TypeError before any range test, by the rule for cut sites, applied to
-    # any site that is not a plain int; then the first site out of range in
-    # argument order, then a repeated site.
+    # One rule for every kind in `GATES`: `_integer_sites`, then the first
+    # site out of range in argument order, then a repeated site.
     if type(gate) not in GATES:
         raise TypeError(f"not a super-gate: {gate!r}")
-    if not {int}.issuperset(map(type, gate)):
-        try:
-            site_indices(gate)
-        except TypeError:
-            raise TypeError(f"gate sites must be integers, got {gate!r}") from None
+    _integer_sites(gate)
     for s in gate:
         if not 1 <= s <= n_qubits:
             raise ProgramError(f"site {s} out of range 1..{n_qubits} in {gate!r}")
     if len(set(gate)) != len(gate):
         raise ProgramError(f"repeated index in {gate!r}")
+
+
+def _integer_sites(sites: tuple) -> None:
+    """A bool, or a site that `operator.index` rejects, is a TypeError, as for cut sites."""
+    if not {int}.issuperset(map(type, sites)):
+        try:
+            site_indices(sites)
+        except TypeError:
+            raise TypeError(f"gate sites must be integers, got {sites!r}") from None
 
 
 def site_indices(sites: Iterable[int]) -> List[int]:
@@ -142,7 +145,9 @@ class GateSimulator:
     `n_qubits` and its `error` class, and defines each method `GATES` names."""
 
     def _check_site(self, *sites: int) -> None:
-        """Raise `error` on the first site out of range, then on a repeated site."""
+        """Raise TypeError on a bool or non-integral site (`_integer_sites`),
+        then `error` on the first site out of range, then on a repeated site."""
+        _integer_sites(sites)
         for site in sites:
             if not 1 <= site <= self.n_qubits:
                 raise self.error(f"site {site} out of range 1..{self.n_qubits}")

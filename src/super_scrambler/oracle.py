@@ -7,7 +7,8 @@ of it.  T, and C3 on three adjacent sites, are one product each with the
 gate's real matrix on its window of sites, by one kernel; C3's windows are
 read off `C3_CONJUGATION_TABLE`, which `verify_gate_tables` checks, and
 `localize_c3` routes any other C3 onto them through adjacent SWAPs.
-Each gate checks its sites with one chained comparison.  The entropy checks
+Each public gate checks its sites once; the random circuit's steps, checked
+by `circuit_stream`, run unchecked through `_apply_steps`.  The entropy checks
 a region by its ends and reshapes a prefix cut with no transpose or copy.
 Exponential cost, capped at 16 qubits; used as ground truth for the tableau.
 """
@@ -104,8 +105,7 @@ class OperatorWavefunction(GateSimulator):
 
     def apply_t(self, site: int) -> None:
         """X -> (X - Y)/sqrt(2), Y -> (X + Y)/sqrt(2) at `site`: one matrix product."""
-        if not 1 <= site <= self.n_qubits:
-            self._check_site(site)
+        self._check_site(site)
         self._apply_window(site, (0,))
 
     def _apply_window(self, base: int, key: Tuple[int, ...]) -> None:
@@ -123,12 +123,10 @@ class OperatorWavefunction(GateSimulator):
             window[...] = m @ window
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
-        n = self.n_qubits
-        if not (1 <= site_a <= n and 1 <= site_b <= n and site_a != site_b):
-            self._check_site(site_a, site_b)
-        psi = self.amplitudes.reshape((2,) * n)
-        # numpy copies an overlapping source before it assigns
-        psi[...] = psi.swapaxes(n - site_a, n - site_b)
+        self._check_site(site_a, site_b)
+        psi = self.amplitudes.reshape((2,) * self.n_qubits)
+        # site s is axis -s; numpy copies an overlapping source before it assigns
+        psi[...] = psi.swapaxes(-site_a, -site_b)
 
     def apply_c3(self, control: int, target_1: int, target_2: int) -> None:
         """Apply Y to both target slots when the control slot holds Y.
@@ -137,18 +135,21 @@ class OperatorWavefunction(GateSimulator):
         permutation, read off `C3_CONJUGATION_TABLE`; other sites are first
         brought together by `localize_c3`'s adjacent SWAPs, and then apart.
         """
-        n = self.n_qubits
-        if not (
-            1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n
-            and control != target_1 and control != target_2 and target_1 != target_2
-        ):
-            self._check_site(control, target_1, target_2)
+        self._check_site(control, target_1, target_2)
         base = min(control, target_1, target_2)
         if max(control, target_1, target_2) - base == 2:
             self._apply_window(base, (control - base, target_1 - base, target_2 - base))
             return
-        for gate in localize_c3(C3(control, target_1, target_2), n):
+        for gate in localize_c3(C3(control, target_1, target_2), self.n_qubits):
             self.apply_gate(gate)
+
+    def _apply_steps(self, steps: Iterable[Tuple[int, int, int, int]]) -> None:
+        """`apply_t(t)` then `apply_c3(c, t1, t2)` for each step `(t, c, t1, t2)`,
+        unchecked: `circuit_stream` checks them and puts each C3 on adjacent sites."""
+        for t, c, t1, t2 in steps:
+            self._apply_window(t, (0,))
+            base = min(c, t1, t2)
+            self._apply_window(base, (c - base, t1 - base, t2 - base))
 
     def entropy(self, region: Iterable[int]) -> float:
         """Von Neumann entropy (base 2) across the bipartition `region`."""

@@ -47,6 +47,8 @@ class Region(_Record):
 
     @classmethod
     def prefix(cls, p: int) -> "Region":
+        if isinstance(p, bool) or not hasattr(p, "__index__"):
+            raise TypeError(f"prefix size must be an integer, got {p!r}")
         if p < 0:
             raise ValueError("prefix size must be non-negative")
         return cls(range(1, p + 1))
@@ -109,16 +111,13 @@ class SuperStabilizerTableau(GateSimulator):
 
     def apply_t(self, site: int) -> None:
         """Exchange the x and z exponents at `site` in every stabilizer."""
-        if not 1 <= site <= self.n_qubits:
-            self._check_site(site)
+        self._check_site(site)
         j = site - 1
         self.x[j], self.z[j] = self.z[j], self.x[j]
 
     def apply_swap(self, site_a: int, site_b: int) -> None:
         """Exchange the (x, z) exponent pairs of two sites."""
-        n = self.n_qubits
-        if not (1 <= site_a <= n and 1 <= site_b <= n and site_a != site_b):
-            self._check_site(site_a, site_b)
+        self._check_site(site_a, site_b)
         a, b = site_a - 1, site_b - 1
         x, z = self.x, self.z
         x[a], x[b] = x[b], x[a]
@@ -126,12 +125,7 @@ class SuperStabilizerTableau(GateSimulator):
 
     def apply_c3(self, control: int, target_1: int, target_2: int) -> None:
         """Controlled-Y-pair update of every stabilizer vector, mod 2."""
-        n = self.n_qubits
-        if not (
-            1 <= control <= n and 1 <= target_1 <= n and 1 <= target_2 <= n
-            and control != target_1 and control != target_2 and target_1 != target_2
-        ):
-            self._check_site(control, target_1, target_2)
+        self._check_site(control, target_1, target_2)
         c, t1, t2 = control - 1, target_1 - 1, target_2 - 1
         x, z = self.x, self.z
         # the update of `_apply_steps`, line for line

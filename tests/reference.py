@@ -69,12 +69,16 @@ def svd_entropy_reference(psi, region):
     return float(-np.sum(probs * np.log2(probs)))
 
 
-def expected_gate_error(sites, n, distinct_message):
-    """The rejection a gate on `sites` must raise, or None: the first site
-    outside 1..n in argument order, then a coincident pair."""
+def expected_gate_error(sites, n, distinct_message, error):
+    """The rejection a gate on `sites` must raise, as (exception class,
+    message), or None: a bool or non-integral site is a TypeError first, as
+    in `validate_gate`; then, as `error`, the first site outside 1..n in
+    argument order, then a coincident pair."""
+    if any(type(s) is bool or not isinstance(s, (int, np.integer)) for s in sites):
+        return TypeError, f"gate sites must be integers, got {tuple(sites)!r}"
     for s in sites:
         if not 1 <= s <= n:
-            return f"site {s} out of range 1..{n}"
+            return error, f"site {s} out of range 1..{n}"
     if len(set(sites)) != len(sites):
-        return distinct_message
+        return error, distinct_message
     return None

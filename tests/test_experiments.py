@@ -483,8 +483,16 @@ class TestRunRandomEnsemble:
                 calls[cls] += 1
                 return entropy(self, region)
             monkeypatch.setattr(cls, "entropy", counted)
+        # the oracle's steps go through its kernel, not its public gates
+        gate_calls = []
+        for name in ("apply_t", "apply_c3"):
+            def counted_gate(self, *sites, name=name, gate=getattr(OperatorWavefunction, name)):
+                gate_calls.append(name)
+                gate(self, *sites)
+            monkeypatch.setattr(OperatorWavefunction, name, counted_gate)
         (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
         experiments._run_realization(cfg, True, (0, child))
+        assert gate_calls == []
         # of the windows 1..10, only those at 5 and 6 cross the cut after site 6
         steps = circuit_stream(np.random.default_rng(child), 12, cfg.time_steps)
         crossing = sum(len({s <= 6 for s in sites}) == 2 for _, *sites in steps)
@@ -492,29 +500,32 @@ class TestRunRandomEnsemble:
         assert calls == {SuperStabilizerTableau: 1 + crossing, OperatorWavefunction: 401}
 
     def test_no_step_of_a_rejected_block_reaches_the_kernel(self, monkeypatch):
-        applied = []
-        apply_steps = SuperStabilizerTableau._apply_steps
-
-        def recording(self, steps):
-            applied.extend(steps)
-            apply_steps(self, steps)
-
-        monkeypatch.setattr(SuperStabilizerTableau, "_apply_steps", recording)
+        # neither simulator's unchecked kernel sees a step of the bad draw,
+        # without the oracle check and with it
         cfg = ExperimentConfig(
             n_qubits=12, time_steps=STREAM_BLOCK + 40, realizations=1, rng_seed=2,
             sample_every=7,
         )
         (child,) = np.random.SeedSequence(cfg.rng_seed).spawn(1)
-        real = np.random.default_rng
-        monkeypatch.setattr(
-            np.random, "default_rng", lambda seed: RiggedDraws(real(seed), 1, 0, 13)
-        )
-        with pytest.raises(ExperimentError, match="out of range for 12 qubits"):
-            experiments._run_realization(cfg, False, (0, child))
         # the blocks of 7 steps that the first draw holds whole, and no more
-        monkeypatch.undo()
-        whole = STREAM_BLOCK // 7 * 7
-        assert applied == scalar_steps(np.random.default_rng(child), 12, whole)
+        whole = scalar_steps(np.random.default_rng(child), 12, STREAM_BLOCK // 7 * 7)
+        real = np.random.default_rng
+        for oracle_check in (False, True):
+            applied = {SuperStabilizerTableau: [], OperatorWavefunction: []}
+            with monkeypatch.context() as patch:
+                for cls, seen in applied.items():
+                    def recording(self, steps, seen=seen, apply_steps=cls._apply_steps):
+                        seen.extend(steps)
+                        apply_steps(self, steps)
+                    patch.setattr(cls, "_apply_steps", recording)
+                patch.setattr(
+                    np.random, "default_rng", lambda seed: RiggedDraws(real(seed), 1, 0, 13)
+                )
+                with pytest.raises(ExperimentError, match="out of range for 12 qubits"):
+                    experiments._run_realization(cfg, oracle_check, (0, child))
+            assert applied == {
+                SuperStabilizerTableau: whole, OperatorWavefunction: whole if oracle_check else []
+            }, oracle_check
 
     def test_sparse_samples_reach_the_kernel_in_stream_sized_chunks(self, monkeypatch):
         # sample blocks of three stream blocks and 5 steps, and a dropped tail:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from super_scrambler.model import C3, OperatorProgram, Swap, T
+from super_scrambler.model import C3, OperatorProgram, Swap, T, localize_c3
 from super_scrambler.oracle import (
     C3_CONJUGATION_TABLE,
     MAX_ORACLE_QUBITS,
@@ -21,6 +21,7 @@ from super_scrambler.cli import main
 from super_scrambler.experiments import (
     ExperimentConfig,
     build_ghz_program,
+    circuit_stream,
     run_random_ensemble,
 )
 from super_scrambler.tableau import Region, SuperStabilizerTableau
@@ -359,6 +360,32 @@ class TestApplyC3:
         assert np.allclose(direct.amplitudes, composed)
 
 
+class TestApplySteps:
+    """`_apply_steps`, the oracle's T + C3 kernel, against `apply_t` then
+    `apply_c3` one step at a time, on the steps of `circuit_stream`."""
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 16])
+    def test_matches_apply_t_and_apply_c3(self, n):
+        # blocks of several sizes, with T and the C3 window at both ends of
+        # the state among their steps: the same window products, bit for bit
+        rng = np.random.default_rng((12, n))
+        steps = list(circuit_stream(rng, n, 200))
+        assert {1, n} <= {t for t, *_ in steps}
+        assert {1, n - 2} <= {min(c3) for _, *c3 in steps}
+        amps = random_amplitudes(rng, n, float)
+        blocked, stepped = OperatorWavefunction(n, amps.copy()), OperatorWavefunction(n, amps)
+        start = 0
+        for count in (0, 1, 2, 7, 150, 0, 40):
+            block = steps[start:start + count]
+            start += count
+            blocked._apply_steps(block)
+            for t_site, control, target_1, target_2 in block:
+                stepped.apply_t(t_site)
+                stepped.apply_c3(control, target_1, target_2)
+            assert np.array_equal(blocked.amplitudes, stepped.amplitudes), (n, count)
+        assert start == len(steps)
+
+
 class TestNormAndEntropy:
     def test_norm_preserved_under_random_programs(self):
         rng = np.random.default_rng(13)
@@ -661,7 +688,8 @@ class TestGateContracts:
     tableau's, and is raised before any amplitude is touched."""
 
     N = 4
-    SITES = (-1, 0, 1, 2, 3, 4, 5)  # 0, -1 and n+1 around every valid site
+    # 0, -1 and n+1 around every valid site, then sites that are no integers
+    SITES = (-1, 0, 1, 2, 3, 4, 5, True, False, 2.5)
 
     @pytest.mark.parametrize(
         "method, arity, distinct_message",
@@ -677,11 +705,12 @@ class TestGateContracts:
         before = psi.amplitudes.copy()
         rejected = 0
         for sites in itertools.product(self.SITES, repeat=arity):
-            message = expected_gate_error(sites, self.N, distinct_message)
-            if message is None:
+            expected = expected_gate_error(sites, self.N, distinct_message, OracleError)
+            if expected is None:
                 getattr(OperatorWavefunction(self.N, psi.amplitudes.copy()), method)(*sites)
                 continue
-            with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
+            error, message = expected
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 getattr(psi, method)(*sites)
             assert np.array_equal(psi.amplitudes, before), (method, sites)
             rejected += 1
@@ -696,26 +725,60 @@ class TestGateContracts:
         assert np.array_equal(psi.amplitudes, OperatorWavefunction.new_all_x(5).amplitudes)
 
 
+def simulator_state(sim):
+    """The whole state of either simulator, as a value that `==` compares."""
+    if isinstance(sim, OperatorWavefunction):
+        return sim.amplitudes.tolist()
+    return sim.x, sim.z
+
+
 @pytest.mark.parametrize("simulator", [OperatorWavefunction, SuperStabilizerTableau])
-def test_valid_sites_skip_check_site(simulator, monkeypatch):
-    # each gate, and the oracle's entropy, tests valid sites inline (the
-    # boundary sites 1 and N included) and calls `_check_site` only to word
-    # a failure
+def test_each_public_gate_checks_its_sites_once(simulator, monkeypatch):
+    # each public gate calls `_check_site` once, with its sites in argument
+    # order; the oracle's entropy tests valid regions inline, and each
+    # simulator's `_apply_steps` takes `circuit_stream`'s checked steps
+    # unchecked
     def counting_check_site(self, *sites):
         calls.append(sites)
         check_site(self, *sites)
 
     n, calls, check_site = 4, [], simulator._check_site
     monkeypatch.setattr(simulator, "_check_site", counting_check_site)
-    sim = simulator.new_all_x(n)
+    sim, oracle = simulator.new_all_x(n), simulator is OperatorWavefunction
     for method, arity in (("apply_t", 1), ("apply_swap", 2), ("apply_c3", 3)):
         for sites in itertools.permutations(range(1, n + 1), arity):
+            calls.clear()
             getattr(sim, method)(*sites)
-    if simulator is OperatorWavefunction:
+            want = [sites]
+            if oracle and arity == 3 and max(sites) - min(sites) > 2:
+                # the oracle routes a C3 that is not local through the public
+                # gates of `localize_c3`, each checked once in turn
+                want += [tuple(gate) for gate in localize_c3(C3(*sites), n)]
+            assert calls == want, (method, sites)
+    calls.clear()
+    if oracle:
         for k in range(1, n):
             for region in itertools.combinations(range(1, n + 1), k):
                 sim.entropy(region)
+    sim._apply_steps(list(circuit_stream(np.random.default_rng(1), n, 50)))
     assert calls == []
     with pytest.raises(simulator.error):
         sim.apply_t(n + 1)
-    assert calls == [(n + 1,)]
+    with pytest.raises(TypeError, match="^gate sites must be integers"):
+        sim.apply_c3(1, True, 3)
+    assert calls == [(n + 1,), (1, True, 3)]
+
+
+@pytest.mark.parametrize("simulator", [OperatorWavefunction, SuperStabilizerTableau])
+def test_numpy_integer_sites_act_as_ints(simulator):
+    # each kind of gate, a local C3 and two that the oracle localizes among
+    # them, on sites of two numpy integer types and on ints
+    n = 6
+    gates = [("apply_t", (1,)), ("apply_t", (6,)), ("apply_swap", (2, 5)),
+             ("apply_c3", (3, 2, 4)), ("apply_c3", (1, 6, 3)), ("apply_c3", (6, 4, 5))]
+    with_ints, with_numpy = simulator.new_all_x(n), simulator.new_all_x(n)
+    for k, (method, sites) in enumerate(gates * 2):
+        kind = (np.int64, np.int32)[k % 2]
+        getattr(with_ints, method)(*sites)
+        getattr(with_numpy, method)(*map(kind, sites))
+        assert simulator_state(with_numpy) == simulator_state(with_ints), (method, sites)

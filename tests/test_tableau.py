@@ -691,6 +691,16 @@ class TestRegion:
         with pytest.raises(TypeError):
             Region(sites)
 
+    @pytest.mark.parametrize("size", [True, False, 2.5, "3", None])
+    def test_prefix_size_that_is_no_integer_rejected(self, size):
+        # a bool is no prefix size, though `range` takes it as 0 or 1
+        message = f"prefix size must be an integer, got {size!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Region.prefix(size)
+
+    def test_numpy_integer_prefix_size_kept(self):
+        assert Region.prefix(np.int64(3)) == Region.prefix(3) == Region([1, 2, 3])
+
 
 class TestInvariants:
     def test_hold_after_random_evolution(self):
@@ -889,7 +899,8 @@ class TestGateContracts:
     raised before any column is touched."""
 
     N = 4
-    SITES = (-1, 0, 1, 2, 3, 4, 5)  # 0, -1 and n+1 around every valid site
+    # 0, -1 and n+1 around every valid site, then sites that are no integers
+    SITES = (-1, 0, 1, 2, 3, 4, 5, True, False, 2.5)
 
     @pytest.mark.parametrize(
         "method, arity, distinct_message",
@@ -904,11 +915,12 @@ class TestGateContracts:
         before = tab.dumps()
         rejected = 0
         for sites in itertools.product(self.SITES, repeat=arity):
-            message = expected_gate_error(sites, self.N, distinct_message)
-            if message is None:
+            expected = expected_gate_error(sites, self.N, distinct_message, TableauError)
+            if expected is None:
                 getattr(SuperStabilizerTableau(self.N, tab.x, tab.z), method)(*sites)
                 continue
-            with pytest.raises(TableauError, match=f"^{re.escape(message)}$"):
+            error, message = expected
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 getattr(tab, method)(*sites)
             assert tab.dumps() == before, (method, sites)
             rejected += 1
