@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -341,6 +342,7 @@ def cmd_run_program(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache  # one build per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="super-scrambler",

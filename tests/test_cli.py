@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 import multiprocessing
 import os
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import super_scrambler
+from super_scrambler import cli
 from super_scrambler.cli import main
 
 
@@ -991,3 +994,84 @@ def test_size_over_its_limit_usage_error_before_any_work(
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def run_exiting(argv, capsys):
+    """`run_cli`, with the code of a `SystemExit` that argparse raises for
+    `--version` or a usage error taken as the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """`main` builds its parser on its first call and reuses it after."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of `argparse.ArgumentParser`s constructed while the test runs."""
+        count = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            count[0] += 1
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return count
+
+    def test_one_build_per_process(self, tmp_path, capsys, built):
+        (tmp_path / "ghz.prog").write_text("N 3\nT 1\nC3 1 2 3\n")
+        importlib.reload(cli)  # an empty cache, as in a new process
+        argvs = [
+            ["verify"],
+            ["ghz", "--n", "6"],
+            ["run-program", str(tmp_path / "ghz.prog"), "--entropy-cuts", "1"],
+            ["random", "--n", "6", "--steps", "5", "--reals", "1", "--seed", "1"],
+            ["ghz"],
+            ["--version"],
+        ]
+        assert [run_exiting(argv, capsys)[0] for argv in argvs] == [0, 0, 0, 0, 2, 0]
+        assert built[0] == 5  # the main parser and one per subcommand
+
+    def test_import_builds_no_parser(self, built):
+        importlib.reload(cli)
+        assert built[0] == 0
+
+    def test_argparse_exits_raise(self, capsys):
+        code, out, err = run_exiting(["ghz"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: super-scrambler ghz ")
+        assert err.endswith("error: the following arguments are required: --n\n")
+        assert run_exiting(["--version"], capsys) == (0, f"{super_scrambler.__version__}\n", "")
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["ghz", "--n", "6", "--cut", "1", "--cut", "2"], ["ghz", "--n", "6"]),
+            (["verify", "--json"], ["verify"]),
+            (["run-program", "ghz.prog", "--dump-stabilizers"],
+             ["run-program", "ghz.prog", "--entropy-cuts", "1"]),
+            (["random", "--n", "6", "--steps", "5", "--reals", "1", "--seed", "1",
+              "--oracle-check"],
+             ["random", "--n", "6", "--steps", "5", "--reals", "1", "--seed", "1"]),
+            (["ghz"], ["ghz", "--n", "3"]),
+            (["--version"], ["verify"]),
+        ],
+        ids=["ghz-cuts", "verify-json", "run-program-dump", "random-oracle-check",
+             "usage-error", "version"],
+    )
+    def test_nothing_carries_over(self, first, second, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ghz.prog").write_text("N 3\nT 1\nC3 1 2 3\n")
+        cli.build_parser.cache_clear()
+        fresh = run_exiting(second, capsys)
+        cli.build_parser.cache_clear()
+        run_exiting(first, capsys)
+        assert run_exiting(second, capsys) == fresh
+        assert cli.build_parser.cache_info().misses == 1
+        assert fresh[0] == 0
+        assert "oracle check passed" not in fresh[1]
